@@ -46,8 +46,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _setup(A: SparseMatrix, b, x0, cfg):
-    if A.nrows != A.ncols:
+def _setup(A: SparseMatrix, b, x0, cfg, square=True):
+    if square and A.nrows != A.ncols:
         raise NotSquare(f"solver requires a square matrix, got {A.nrows}x{A.ncols}")
     b = as_vector(b, "b")
     if b.shape != (A.nrows,):
@@ -232,14 +232,7 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
     maintained incrementally from the inner products already computed.
     """
     started = time.perf_counter_ns()
-    b = as_vector(b, "b")
-    if b.shape != (A.nrows,):
-        raise DimensionMismatch(f"b has length {b.size}, expected {A.nrows}")
-    x = np.zeros(A.ncols) if x0 is None else as_vector(x0, "x0").copy()
-    if x.shape != (A.ncols,):
-        raise DimensionMismatch(f"x0 has length {x.size}, expected {A.ncols}")
-    cfg = cfg if cfg is not None else SolverConfig()
-    eps = cfg.eps_tol if cfg.eps_tol is not None else default_tolerance(b)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
 
     def apply_op(v):
         return spmv_transpose(A, spmv(A, v))
@@ -287,10 +280,8 @@ def arnoldi_process(A: SparseMatrix, r0, k: int, tol: float) -> KrylovWorkspace:
     r0 = np.asarray(r0, dtype=np.float64)
     beta = float(np.linalg.norm(r0))
     vs = [r0 / beta]
-    m = r0.size
     H = np.zeros((k + 1, k))
     k_eff = k
-    happy = False
     for j in range(k):
         w = spmv(A, vs[j])
         for i in range(j + 1):
@@ -299,7 +290,6 @@ def arnoldi_process(A: SparseMatrix, r0, k: int, tol: float) -> KrylovWorkspace:
         H[j + 1, j] = float(np.linalg.norm(w))
         if H[j + 1, j] < tol:
             k_eff = j + 1
-            happy = True
             break
         vs.append(w / H[j + 1, j])
     V = np.column_stack(vs)
@@ -375,8 +365,7 @@ def _tridiagonal_from_lanczos(state: LanczosState) -> np.ndarray:
     H = np.zeros((k + 1, k))
     for j in range(k):
         H[j, j] = state.alpha[j]
-        if j + 1 <= k:
-            H[j + 1, j] = state.beta[j]
+        H[j + 1, j] = state.beta[j]
         if j >= 1:
             H[j - 1, j] = state.beta[j - 1]
     return H

@@ -16,6 +16,7 @@ infimum; on solvable systems the residual converges to zero.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     NegativeEntry,
     NegativeInput,
+    NonFiniteValue,
     NonPositiveRhs,
     SingularMatrix,
     TooLargeForDense,
@@ -182,6 +184,8 @@ def rescale(A: SparseMatrix, b) -> NonnegativeSystem:
         A.nrows, A.ncols, A.col_ptr, A.row_idx, A.values / s[A.entry_col]
     )
     b_total = float(b.sum())
+    if not math.isfinite(b_total):
+        raise NonFiniteValue("b sums to infinity; its rescaled entries would vanish")
     return NonnegativeSystem(a_tilde, b / b_total, s.copy(), b_total)
 
 
@@ -242,6 +246,24 @@ def _ratio_with_convention(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
+def _ratio_and_divergence(q: np.ndarray, b_n: np.ndarray) -> tuple[np.ndarray, float]:
+    """c = q / b_n and D(q, b_n) = sum_i q_i log c_i from that one division.
+
+    As q > 0, any zero, negative or non-finite b_i makes D non-finite; only
+    then do the typed checks of _ratio_with_convention and kl_divergence run.
+    """
+    c = q / b_n
+    kl = float(np.sum(q * np.log(c)))
+    if math.isfinite(kl):
+        return c, kl
+    return _ratio_with_convention(q, b_n), metrics.kl_divergence(q, b_n)
+
+
+def _update(system: NonnegativeSystem, x_n: np.ndarray, c_n: np.ndarray) -> np.ndarray:
+    """x_n * a_tilde^T c_n, the update given the ratio c_n = b_tilde / a_tilde x_n."""
+    return x_n * spmv_transpose(system.a_tilde, c_n)
+
+
 def nna_step(system: NonnegativeSystem, x_n: np.ndarray) -> np.ndarray:
     """One multiplicative update x_{n+1} = x_n * a_tilde^T (b_tilde / a_tilde x_n).
 
@@ -249,8 +271,7 @@ def nna_step(system: NonnegativeSystem, x_n: np.ndarray) -> np.ndarray:
     there.  Costs at most 4 * (nnz + m) flops.
     """
     b_n = spmv(system.a_tilde, x_n)
-    c_n = _ratio_with_convention(system.b_tilde, b_n)
-    return x_n * spmv_transpose(system.a_tilde, c_n)
+    return _update(system, x_n, _ratio_with_convention(system.b_tilde, b_n))
 
 
 def nna_step_counted(system: NonnegativeSystem, x_n: np.ndarray) -> tuple[np.ndarray, int]:
@@ -303,14 +324,9 @@ def _breakdown(exc: Exception, b: np.ndarray, started: int) -> SolveReport:
     )
 
 
-def _check_rows_reachable(A: SparseMatrix, b_tilde: np.ndarray):
-    occupancy = np.bincount(A.row_idx, minlength=A.nrows)
-    empty = np.flatnonzero((occupancy == 0) & (b_tilde > 0.0))
-    if empty.size:
-        raise ZeroDenominator(int(empty[0]))
-
-
-def _run_iteration(A, b, shifted, x0, cfg, eps, residual_fn):
+# a zero or non-finite M x_tilde is reported by _ratio_and_divergence, not by warnings
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
     """Iterate from a fixed shift; returns a report without elapsed time filled in.
 
     Without residual_fn the loop tracks b_total * ||M x_tilde - q||, which is
@@ -320,15 +336,12 @@ def _run_iteration(A, b, shifted, x0, cfg, eps, residual_fn):
     residual of the returned x is recomputed from A and b; the run converges
     only if that value is within eps, else the gate is lowered by the observed
     ratio and the iteration goes on.  On any exit the last trace entry is the
-    recomputed residual of the returned x.
+    recomputed residual of the returned x.  One ratio q / (M x_tilde) per
+    iteration feeds the divergence, the breakdown check and the update.
     """
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
-    _check_rows_reachable(A, system.b_tilde)
-
-    x_start = np.ones(A.ncols) if x0 is None else as_vector(x0, "x0")
-    if x_start.shape != (A.ncols,):
-        raise DimensionMismatch(f"x0 has length {x_start.size}, expected {A.ncols}")
+    q = system.b_tilde
     x_t = x_start + t
     if np.any(x_t <= 0.0):
         raise NegativeInput("x0 + t*1 must be positive; raise t or choose x0 > 0")
@@ -350,10 +363,10 @@ def _run_iteration(A, b, shifted, x0, cfg, eps, residual_fn):
         b_n = spmv(system.a_tilde, xt)
         matvecs += 1
         if residual_fn is None:
-            resid = system.b_total * float(np.linalg.norm(b_n - system.b_tilde))
+            resid = system.b_total * float(np.linalg.norm(b_n - q))
         else:
             resid = float(residual_fn(system.recover(xt) - t))
-        kl = metrics.kl_divergence(system.b_tilde, b_n)
+        c_n, kl = _ratio_and_divergence(q, b_n)
         res_trace.append(resid)
         kl_trace.append(kl)
         if residual_fn is not None:
@@ -378,8 +391,7 @@ def _run_iteration(A, b, shifted, x0, cfg, eps, residual_fn):
         if n >= cfg.max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
-        c_n = _ratio_with_convention(system.b_tilde, b_n)
-        xt = xt * spmv_transpose(system.a_tilde, c_n)
+        xt = _update(system, xt, c_n)
         matvecs += 1
         n += 1
 
@@ -414,8 +426,9 @@ def nna_solve(
     shift was engaged (some b_i <= 0) and the run stagnates, the shift is
     doubled and the solve retried a bounded number of times, keeping the best
     attempt; explicit t and positive-b runs are never retried.  Setup defects
-    (zero column, unshiftable row, zero row with positive b) come back as a
-    BREAKDOWN report carrying a diagnostic instead of an exception.
+    (zero column, unshiftable row, zero row with positive b) and values that
+    overflow during the run come back as a BREAKDOWN report carrying a
+    diagnostic instead of an exception.
 
     residual_fn optionally replaces the traced/stopping residual; it receives
     the current iterate in original (un-shifted) coordinates.  Wrappers use
@@ -431,14 +444,17 @@ def nna_solve(
         shifted = shift(A, b_arr, cfg.t_shift)
     except (ZeroColumn, UnshiftableRow) as exc:
         return _breakdown(exc, b_arr, started)
+    x_start = np.ones(A.ncols) if x0 is None else as_vector(x0, "x0")
+    if x_start.shape != (A.ncols,):
+        raise DimensionMismatch(f"x0 has length {x_start.size}, expected {A.ncols}")
 
     auto = cfg.t_shift is None
     best = None
     attempt = 0
     while True:
         try:
-            report = _run_iteration(A, b_arr, shifted, x0, cfg, eps, residual_fn)
-        except (ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
+            report = _run_iteration(A, b_arr, shifted, x_start, cfg, eps, residual_fn)
+        except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
             return _breakdown(exc, b_arr, started)
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
             best = report

@@ -78,7 +78,8 @@ class SparseMatrix:
                 raise DimensionMismatch("row indices must increase strictly within each column")
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteValue("matrix values contain NaN or infinite entries")
-        self.col_sums = _segment_sums(self.values, self.col_ptr, self.ncols)
+        # bincount of no entries comes back int64, hence the cast
+        self.col_sums = np.bincount(self.entry_col, weights=self.values, minlength=self.ncols).astype(np.float64, copy=False)
 
     @property
     def nnz(self) -> int:
@@ -115,16 +116,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def _segment_sums(values: np.ndarray, ptr: np.ndarray, nseg: int) -> np.ndarray:
-    """Exact per-segment sums of `values` partitioned by `ptr` (handles empty segments)."""
-    out = np.zeros(nseg)
-    starts = ptr[:-1]
-    nonempty = ptr[1:] > starts
-    if values.size and np.any(nonempty):
-        out[nonempty] = np.add.reduceat(values, starts[nonempty])
-    return out
 
 
 def from_arrays(nrows, ncols, rows, cols, values) -> SparseMatrix:
@@ -188,7 +179,9 @@ def spmv_transpose(A: SparseMatrix, c) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (A.nrows,):
         raise DimensionMismatch(f"c has length {c.shape}, expected {A.nrows}")
-    return _segment_sums(A.values * c[A.row_idx], A.col_ptr, A.ncols)
+    if A.values.size == 0:
+        return np.zeros(A.ncols)
+    return np.bincount(A.entry_col, weights=A.values * c[A.row_idx], minlength=A.ncols)
 
 
 def column_sums(A: SparseMatrix) -> np.ndarray:

@@ -140,6 +140,17 @@ def test_nonconvergence_exit_code(tmp_path):
     assert code == 1
 
 
+def test_overflowing_shift_is_breakdown_exit_code(tmp_path, capsys):
+    # b + t * A 1 stays finite but sums to infinity: the rescaled system does not
+    # exist, so the run is a typed breakdown (exit 1), not an input error (2)
+    # and not a stagnation with a NaN residual (0)
+    code = run(["solve", "--gen", "dense-uniform:m=10", "--solver", "nna", "--t", "1e307", "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "breakdown" in out
+    assert "NonFiniteValue" in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("not a matrix file\n")

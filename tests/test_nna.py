@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nnasolve
 from nnasolve import (
     NegativeEntry,
     SplitMix64,
@@ -15,6 +21,7 @@ from nnasolve import (
     from_arrays,
     from_triplets,
     gen_dense_uniform,
+    gen_sparse_random,
     kl_divergence,
     l2_bridge,
     nna_solve,
@@ -256,6 +263,116 @@ def test_solve_breakdown_reports():
     report = nna_solve(empty_row, [1.0, 1.0])
     assert report.status is SolveStatus.BREAKDOWN
     assert "ZeroDenominator" in report.diagnostic
+
+
+def test_solve_nonfinite_mid_iteration_is_breakdown():
+    # x0 * col_scale overflows to inf in the first iterate; the loop must
+    # report that as a typed breakdown, not raise out of nna_solve
+    A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)])
+    report = nna_solve(A, [1.0, 1.0], x0=np.full(2, 1e308))
+    assert report.status is SolveStatus.BREAKDOWN
+    assert "NonFiniteValue" in report.diagnostic
+
+
+def reference_solve(A, b, cfg):
+    """The solve loop's stopping rules around the plain kernels nna_step and kl_divergence.
+
+    Returns (status, iterations, residual_trace, kl_trace) for an explicit shift.
+    """
+    t = cfg.t_shift
+    system = rescale(A, shift(A, b, t).b_shifted)
+    q = system.b_tilde
+    xt = (np.ones(A.ncols) + t) * system.col_scale / system.b_total
+
+    def exact_residual(x_tilde):
+        return float(np.linalg.norm(spmv(A, system.recover(x_tilde) - t) - b))
+
+    res, kls = [], []
+    gate, streak, prev_kl, n = cfg.eps_tol, 0, None, 0
+    while True:
+        b_n = spmv(system.a_tilde, xt)
+        tracked = system.b_total * float(np.linalg.norm(b_n - q))
+        res.append(tracked)
+        kl = kl_divergence(q, b_n)
+        kls.append(kl)
+        if tracked <= gate:
+            exact = res[-1] = exact_residual(xt)
+            if exact <= cfg.eps_tol:
+                return SolveStatus.CONVERGED, n, res, kls
+            gate = tracked * cfg.eps_tol / exact
+        if prev_kl is not None:
+            drop = (prev_kl - kl) / max(prev_kl, 1e-300)
+            streak = streak + 1 if drop < cfg.stagnation_rel_delta else 0
+            if streak >= cfg.stagnation_window:
+                status = SolveStatus.STAGNATED_MIN_KL
+                break
+        prev_kl = kl
+        if n >= cfg.max_iter:
+            status = SolveStatus.MAX_ITERATIONS
+            break
+        xt = nna_step(system, xt)
+        n += 1
+    res[-1] = exact_residual(xt)
+    return status, n, res, kls
+
+
+def _dense_shifted_case():
+    # at t = 1e4 the tracked residual reaches 1e-10 twice before the returned x does
+    rng = np.random.default_rng(5)
+    dense = rng.uniform(0, 1, (5, 5))
+    np.fill_diagonal(dense, rng.uniform(2, 3, 5))
+    b = dense @ rng.uniform(-0.5, 1.5, 5)
+    return sparse_of(dense), b, SolverConfig(eps_tol=1e-10, t_shift=1e4, max_iter=20_000)
+
+
+def _inconsistent_case():
+    rng = np.random.default_rng(6)
+    return sparse_of(rng.uniform(0.2, 1.0, (3, 2))), rng.uniform(0.5, 1.5, 3), SolverConfig(
+        eps_tol=1e-12, t_shift=0.0, max_iter=200_000
+    )
+
+
+def _sparse_capped_case():
+    inst = gen_sparse_random(40, 120, 10.0, 2)
+    return inst.A, inst.b, SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=500)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (_dense_shifted_case, SolveStatus.CONVERGED),
+        (_inconsistent_case, SolveStatus.STAGNATED_MIN_KL),
+        (_sparse_capped_case, SolveStatus.MAX_ITERATIONS),
+    ],
+    ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter"],
+)
+def test_solve_loop_matches_plain_kernels(case, expected):
+    # the fused loop (one ratio per iteration for divergence, check and update)
+    # against the same stopping rules around nna_step and kl_divergence
+    A, b, cfg = case()
+    report = nna_solve(A, b, cfg=cfg)
+    status, iterations, res, kls = reference_solve(A, b, cfg)
+    assert report.status is status is expected
+    assert report.iterations == iterations
+    np.testing.assert_allclose(report.residual_trace, res, rtol=1e-12)
+    np.testing.assert_allclose(report.kl_trace, kls, rtol=1e-12)
+
+
+def test_solve_path_imports_no_scipy():
+    # importing scipy.sparse costs ~21 MB of resident memory; the solvers use numpy only
+    code = (
+        "import sys, numpy as np\n"
+        "from nnasolve import from_triplets, general_solve, nna_solve\n"
+        "A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)])\n"
+        "assert nna_solve(A, [3.0, 2.0]).status.value == 'converged'\n"
+        "B = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, -1.0)])\n"
+        "assert general_solve(B, [1.0, 2.0]).status.value == 'converged'\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(nnasolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_rejects_negative_matrix():
