@@ -44,23 +44,6 @@ SOLVER_NAMES = ("nna", "general", "jacobi", "gauss-seidel", "cg", "gmres", "minr
 _OK_STATUSES = (SolveStatus.CONVERGED, SolveStatus.STAGNATED_MIN_KL)
 
 
-def _per_step_flops(solver: str, nnz: int, m: int, k: int) -> float:
-    """Per-iteration flop budgets used for the summary estimate."""
-    if solver in ("nna", "general"):
-        return 4.0 * (nnz + m)
-    if solver in ("jacobi", "gauss-seidel"):
-        return 2.0 * (nnz + m)
-    if solver == "cg":
-        return 2.0 * nnz + 12.0 * m
-    if solver == "gmres":
-        return 2.0 * k * nnz + (2.0 * k * k + 7.0 * k + 1.0) * m
-    if solver == "minres":
-        return k * (2.0 * nnz + 9.0 * m)
-    if solver == "normal-cg":
-        return 4.0 * nnz + 12.0 * m
-    raise ValueError(solver)
-
-
 def _parse_gen_spec(spec: str, seed: int):
     """Parse 'dense-uniform:m=10' or 'sparse-random:m=1000,offdiag=5000,diag-hi=100'."""
     name, _, rest = spec.partition(":")
@@ -173,34 +156,33 @@ def cmd_solve(args) -> int:
             label = solver if t is None else f"{solver}_t{t:g}"
             trace_path = out_dir / f"{label}.csv"
             write_trace(replace(report, elapsed_ns=0), trace_path)
-            flops = report.iterations * _per_step_flops(solver, A.nnz, A.ncols, args.k or 0)
-            runs.append((label, report, flops, trace_path))
+            runs.append((label, report))
 
     print(f"instance: {source}")
     print(f"size: {A.nrows} x {A.ncols}, nnz {A.nnz}")
-    header = f"{'solver':<16} {'status':<18} {'iters':>8} {'final_residual':>15} {'wall_s':>9} {'flops_est':>12}"
+    header = f"{'solver':<16} {'status':<18} {'iters':>8} {'final_residual':>15} {'wall_s':>9} {'matvecs':>10}"
     print(header)
     print("-" * len(header))
-    for label, report, flops, _ in runs:
+    for label, report in runs:
         final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
         print(
             f"{label:<16} {report.status.value:<18} {report.iterations:>8d} "
-            f"{final:>15.6e} {report.elapsed_ns / 1e9:>9.3f} {flops:>12.3e}"
+            f"{final:>15.6e} {report.elapsed_ns / 1e9:>9.3f} {report.matvec_count:>10d}"
         )
         if report.diagnostic:
             print(f"    note: {report.diagnostic}")
 
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="") as fh:
-            fh.write("solver,status,iterations,final_residual,wall_s,flops_est\n")
-            for label, report, flops, _ in runs:
+            fh.write("solver,status,iterations,final_residual,wall_s,matvecs\n")
+            for label, report in runs:
                 final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
                 fh.write(
                     f"{label},{report.status.value},{report.iterations},"
-                    f"{final:.17g},{report.elapsed_ns / 1e9:.6f},{flops:.17g}\n"
+                    f"{final:.17g},{report.elapsed_ns / 1e9:.6f},{report.matvec_count}\n"
                 )
 
-    return 0 if all(r.status in _OK_STATUSES for _, r, _, _ in runs) else 1
+    return 0 if all(r.status in _OK_STATUSES for _, r in runs) else 1
 
 
 _GUARANTEE_NOTES = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -146,11 +147,55 @@ def gen_sparse_random(m: int, offdiag_nnz: int, diag_hi: float, seed: int) -> Pr
 # ---------------------------------------------------------------------------
 # Matrix Market (coordinate real general/symmetric)
 
+_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_CHUNK_LINES = 4096  # lines per block read or written: memory stays bounded however long the file
+
+
+def _holds_entry(line: str) -> bool:
+    """False for blank lines and % comment lines."""
+    text = line.lstrip()
+    return bool(text) and text[0] != "%"
+
+
+def _parse_entries(lines: list[str]) -> np.ndarray:
+    """Parse 'row col value' lines; raises ValueError if any line is malformed."""
+    if not lines:
+        return np.empty(0, dtype=_ENTRY_DTYPE)  # loadtxt warns on empty input
+    return np.loadtxt(lines, dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+
+
+def _parse_until_error(lines: list[str]) -> tuple[np.ndarray, int | None]:
+    """Parse entry lines up to the first malformed one.
+
+    Returns the entries before it and its index, or None when all parse.  The
+    failing line is found with the same parser, so what is accepted and what
+    is reported can never disagree.
+    """
+    try:
+        return _parse_entries(lines), None
+    except ValueError:
+        for k, line in enumerate(lines):
+            try:
+                _parse_entries([line])
+            except ValueError:
+                return _parse_entries(lines[:k]), k
+        raise
+
+
+def _entry_line(chunk: list[str], before: int, k: int) -> int:
+    """File line number of the k-th entry line of a chunk read after line `before`."""
+    positions = list(compress(range(len(chunk)), map(_holds_entry, chunk)))
+    return before + 1 + positions[k]
+
+
 def read_matrix_market(path) -> SparseMatrix:
     """Read a Matrix Market coordinate file (real, general or symmetric).
 
     Symmetric files are expanded to full storage by mirroring off-diagonal
     entries; 1-based indices are converted; % comment lines are skipped.
+    The entries are read in blocks of lines and parsed by numpy, so indices
+    are plain decimal integers (no ``_`` digit separators).  Errors name the
+    file line they come from.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -192,30 +237,30 @@ def read_matrix_market(path) -> SparseMatrix:
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.float64)
         got = 0
-        for line in fh:
-            lineno += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if got >= nnz:
-                raise ParseError(lineno, "more entries than declared in the size line")
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise ParseError(lineno, f"entry needs 'row col value', got {stripped!r}")
-            try:
-                i = int(parts[0])
-                j = int(parts[1])
-                v = float(parts[2])
-            except ValueError:
-                raise ParseError(lineno, f"malformed entry {stripped!r}") from None
-            if not (1 <= i <= nrows) or not (1 <= j <= ncols):
-                raise IndexOutOfRange(f"line {lineno}: entry ({i}, {j}) outside {nrows}x{ncols}")
-            if not math.isfinite(v):
-                raise NonFiniteValue(f"line {lineno}: non-finite value {parts[2]!r}")
-            rows[got] = i - 1
-            cols[got] = j - 1
-            vals[got] = v
-            got += 1
+        while chunk := list(islice(fh, _CHUNK_LINES)):
+            kept = list(compress(chunk, map(_holds_entry, chunk)))
+            room = nnz - got
+            entries, bad = _parse_until_error(kept[:room])
+            i, j, v = entries["i"], entries["j"], entries["v"]
+            out_of_range = (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
+            offenders = np.flatnonzero(out_of_range | ~np.isfinite(v))
+            if offenders.size:
+                k = int(offenders[0])
+                where = _entry_line(chunk, lineno, k)
+                if out_of_range[k]:
+                    raise IndexOutOfRange(f"line {where}: entry ({i[k]}, {j[k]}) outside {nrows}x{ncols}")
+                raise NonFiniteValue(f"line {where}: non-finite value {kept[k].split()[2]!r}")
+            if bad is not None:
+                detail = f"malformed entry {kept[bad].strip()!r}, expected 'row col value'"
+                raise ParseError(_entry_line(chunk, lineno, bad), detail)
+            if len(kept) > room:
+                raise ParseError(_entry_line(chunk, lineno, room), "more entries than declared in the size line")
+            end = got + entries.size
+            np.subtract(i, 1, out=rows[got:end])
+            np.subtract(j, 1, out=cols[got:end])
+            vals[got:end] = v
+            got = end
+            lineno += len(chunk)
         if got != nnz:
             raise ParseError(lineno, f"declared {nnz} entries but found {got}")
 
@@ -254,13 +299,15 @@ def write_trace(report: SolveReport, path) -> None:
     serialized as the literal "inf", and solvers without a divergence trace
     leave the column empty.  LF line endings, locale-independent decimals.
     """
-    res = report.residual_trace
-    kl = report.kl_trace
+    res, kl = report.residual_trace, report.kl_trace
+    row = "{},{:.17g},{},{}\n".format
     with open(path, "w", newline="") as fh:
         fh.write(_TRACE_HEADER + "\n")
-        for n in range(res.size):
-            kl_text = f"{kl[n]:.17g}" if n < kl.size else ""
-            fh.write(f"{n},{res[n]:.17g},{kl_text},{report.elapsed_ns}\n")
+        for start in range(0, res.size, _CHUNK_LINES):
+            stop = min(start + _CHUNK_LINES, res.size)
+            kl_text = [format(d, ".17g") for d in kl[start:stop].tolist()]
+            kl_text += [""] * (stop - start - len(kl_text))
+            fh.write("".join(map(row, range(start, stop), res[start:stop].tolist(), kl_text, repeat(report.elapsed_ns))))
 
 
 def read_trace(path):

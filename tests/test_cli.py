@@ -186,8 +186,9 @@ def test_summary_csv(tmp_path):
     )
     assert code == 0
     lines = summary.read_text().strip().splitlines()
-    assert lines[0] == "solver,status,iterations,final_residual,wall_s,flops_est"
+    assert lines[0] == "solver,status,iterations,final_residual,wall_s,matvecs"
     assert len(lines) == 2
+    assert int(lines[1].split(",")[-1]) > int(lines[1].split(",")[2])  # NNA makes two products per iteration
 
 
 def test_check_identity(tmp_path, capsys):

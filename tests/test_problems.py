@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnasolve import (
     IndexOutOfRange,
+    NonFiniteValue,
     ParseError,
     SolveReport,
     SolveStatus,
@@ -13,6 +17,7 @@ from nnasolve import (
     TooManyNonzeros,
     UnsupportedFormat,
     default_tolerance,
+    from_arrays,
     gen_dense_uniform,
     gen_sparse_random,
     nna_solve,
@@ -215,6 +220,118 @@ def test_matrix_market_against_scipy(tmp_path):
     assert np.array_equal(theirs, inst.A.to_dense())
 
 
+# Entry errors in a 10,000-entry file.  The reader parses the body in chunks
+# of lines, so these sit past chunk boundaries and must still name their line.
+
+_BIG = 10_000
+
+
+def write_big(path, edits=(), declared=_BIG):
+    """100 x 100 general file with _BIG entry lines on file lines 3 .. _BIG + 2;
+    `edits` replaces whole lines, keyed by 1-based file line number."""
+    lines = ["%%MatrixMarket matrix coordinate real general\n", f"100 100 {declared}\n"]
+    lines += [f"{k % 100 + 1} {k * 7 % 100 + 1} {0.5 * k + 1}\n" for k in range(_BIG)]
+    for lineno, text in dict(edits).items():
+        lines[lineno - 1] = text
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 oops 1.0\n", "1 1 1.0 % c\n", "1_0 1 1.0\n"],
+    ids=["malformed", "inline-comment", "digit-separator"],
+)
+def test_read_bad_entry_past_chunk_boundary_names_its_line(tmp_path, text):
+    # comment and blank lines earlier in the body still count as file lines
+    path = write_big(tmp_path / "bad.mtx", {100: "% note\n", 5000: "   \n", 9000: "\n", 9002: text})
+    with pytest.raises(ParseError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 9002
+
+
+@pytest.mark.parametrize("i, j", [(101, 1), (1, 101), (0, 1), (1, 0)])
+def test_read_index_out_of_range_past_chunk_boundary(tmp_path, i, j):
+    path = write_big(tmp_path / "oob.mtx", {7002: f"{i} {j} 1.0\n"})
+    with pytest.raises(IndexOutOfRange, match=rf"^line 7002: entry \({i}, {j}\) outside 100x100$"):
+        read_matrix_market(path)
+
+
+def test_read_nan_past_chunk_boundary(tmp_path):
+    path = write_big(tmp_path / "nan.mtx", {5002: "1 1 nan\n"})
+    with pytest.raises(NonFiniteValue, match=r"^line 5002: non-finite value 'nan'$"):
+        read_matrix_market(path)
+
+
+def test_read_more_entries_than_declared(tmp_path):
+    path = write_big(tmp_path / "more.mtx", declared=_BIG - 1)
+    with pytest.raises(ParseError, match="more entries than declared") as err:
+        read_matrix_market(path)
+    assert err.value.line == _BIG + 2  # the first extra entry
+
+
+def test_read_fewer_entries_than_declared(tmp_path):
+    path = write_big(tmp_path / "fewer.mtx", declared=_BIG + 1)
+    with pytest.raises(ParseError, match=f"declared {_BIG + 1} entries but found {_BIG}") as err:
+        read_matrix_market(path)
+    assert err.value.line == _BIG + 2  # end of file
+
+
+def test_read_empty_body_is_empty_matrix_without_warnings(tmp_path):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n% c\n5 4 0\n% only comments\n\n   \n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        A = read_matrix_market(path)
+    assert caught == []
+    assert A.shape == (5, 4)
+    assert A.nnz == 0
+
+
+_NONZERO_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e300]),
+).filter(lambda v: v != 0.0)  # from_arrays drops zeros, so they cannot round-trip as entries
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = []
+    if nrows and ncols:
+        cells = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), unique=True))
+    vals = draw(st.lists(_NONZERO_FLOATS, min_size=len(cells), max_size=len(cells)))
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    return from_arrays(nrows, ncols, rows, cols, vals)
+
+
+_FILLER_LINES = st.sampled_from(["% comment\n", "\n", "   \n", "\t% indented\n", "%\n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    A=sparse_matrices(),
+    fillers=st.lists(st.tuples(st.integers(1, 50), _FILLER_LINES), max_size=8),
+    crlf=st.booleans(),
+)
+@example(A=from_arrays(3, 2, [], [], []), fillers=[], crlf=False)
+@example(A=from_arrays(1, 1, [0], [0], [5e-324]), fillers=[(1, "% c\n")], crlf=True)
+def test_matrix_market_round_trip_property(tmp_path_factory, A, fillers, crlf):
+    path = tmp_path_factory.mktemp("mm") / "a.mtx"
+    write_matrix_market(A, path)
+    lines = path.read_text().splitlines(keepends=True)
+    for at, text in fillers:  # anywhere after the header line
+        lines.insert(min(at, len(lines)), text)
+    text = "".join(lines)
+    path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    back = read_matrix_market(path)
+    assert back.shape == A.shape
+    assert np.array_equal(back.col_ptr, A.col_ptr)
+    assert np.array_equal(back.row_idx, A.row_idx)
+    assert back.values.tobytes() == A.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 
@@ -268,3 +385,53 @@ def test_trace_without_divergence_column(tmp_path):
     iters, res, kl, _ = read_trace(path)
     assert len(iters) == 3
     assert np.all(np.isnan(kl))
+
+
+def reference_write_trace(report, path):
+    """The row-by-row writer that write_trace replaced; its bytes are the format."""
+    res, kl = report.residual_trace, report.kl_trace
+    with open(path, "w", newline="") as fh:
+        fh.write("iter,residual_l2,kl_b,elapsed_ns\n")
+        for n in range(res.size):
+            kl_text = f"{kl[n]:.17g}" if n < kl.size else ""
+            fh.write(f"{n},{res[n]:.17g},{kl_text},{report.elapsed_ns}\n")
+
+
+@pytest.mark.parametrize("with_kl", [True, False], ids=["nna", "baseline"])
+def test_trace_bytes_match_reference_writer(tmp_path, with_kl):
+    rng = np.random.default_rng(1)
+    rows = 9000  # several write blocks
+    residuals = rng.uniform(1e-12, 1e3, rows) * 10.0 ** rng.integers(-300, 300, rows)
+    residuals[:4] = [0.0, 5e-324, 1.7976931348623157e308, 1e-310]
+    kls = rng.uniform(0.0, 1.0, rows)
+    kls[[0, 7, 8191]] = math.inf
+    kls[1] = 2.2250738585072014e-308
+    report = make_report(residuals, kls if with_kl else [], elapsed=987654321)
+    write_trace(report, tmp_path / "new.csv")
+    reference_write_trace(report, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_TRACE_FLOATS = st.floats(allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    residuals=st.lists(_TRACE_FLOATS, min_size=1, max_size=40),
+    kl_values=st.lists(_TRACE_FLOATS, min_size=40, max_size=40),
+    with_kl=st.booleans(),
+    elapsed=st.integers(0, 2**62),
+)
+@example(residuals=[1.0, 0.5], kl_values=[math.inf] * 40, with_kl=True, elapsed=0)
+def test_trace_round_trip_property(tmp_path_factory, residuals, kl_values, with_kl, elapsed):
+    kls = kl_values[: len(residuals)] if with_kl else []
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    write_trace(make_report(residuals, kls, elapsed=elapsed), path)
+    iters, res, kl, back_elapsed = read_trace(path)
+    assert np.array_equal(iters, np.arange(len(residuals)))
+    assert res.tobytes() == np.asarray(residuals, dtype=np.float64).tobytes()
+    if with_kl:
+        assert kl.tobytes() == np.asarray(kls, dtype=np.float64).tobytes()
+    else:
+        assert np.all(np.isnan(kl))
+    assert np.all(back_elapsed == elapsed)
