@@ -72,7 +72,6 @@ from .problems import (
 from .sparse import (
     SparseMatrix,
     as_vector,
-    column_sums,
     from_arrays,
     from_triplets,
     spmv,

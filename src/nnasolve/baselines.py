@@ -72,6 +72,28 @@ def _report(status, x, trace, started, matvecs):
     )
 
 
+def _terminal(res: float, eps: float, n: int, max_iter: int) -> SolveStatus | None:
+    """Status a run ends with at residual res after n iterations, or None to go on."""
+    if not np.isfinite(res):
+        return SolveStatus.BREAKDOWN
+    if res <= eps:
+        return SolveStatus.CONVERGED
+    if n >= max_iter:
+        return SolveStatus.MAX_ITERATIONS
+    return None
+
+
+def _split_diagonal(A: SparseMatrix) -> tuple[np.ndarray, SparseMatrix]:
+    """The diagonal of A, which must have no zeros, and A without its diagonal."""
+    diag = A.diagonal()
+    dead = np.flatnonzero(diag == 0.0)
+    if dead.size:
+        raise ZeroDiagonal(int(dead[0]))
+    rows, cols, vals = A.triplets()
+    off = rows != cols
+    return diag, from_arrays(A.nrows, A.ncols, rows[off], cols[off], vals[off])
+
+
 def is_symmetric(A: SparseMatrix, rtol: float = 1e-12) -> bool:
     """Structural and value symmetry within a relative tolerance."""
     if A.nrows != A.ncols:
@@ -90,13 +112,7 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     """Jacobi sweeps x_{n+1} = D^{-1} (b - (A - D) x_n)."""
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
-    diag = A.diagonal()
-    dead = np.flatnonzero(diag == 0.0)
-    if dead.size:
-        raise ZeroDiagonal(int(dead[0]))
-    rows, cols, vals = A.triplets()
-    off = rows != cols
-    A_off = from_arrays(A.nrows, A.ncols, rows[off], cols[off], vals[off])
+    diag, A_off = _split_diagonal(A)
 
     trace = []
     matvecs = 0
@@ -104,14 +120,10 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     while True:
         y = spmv(A_off, x)
         matvecs += 1
-        res = float(np.linalg.norm(b - y - diag * x))
-        trace.append(res)
-        if not np.isfinite(res):
-            return _report(SolveStatus.BREAKDOWN, x, trace, started, matvecs)
-        if res <= eps:
-            return _report(SolveStatus.CONVERGED, x, trace, started, matvecs)
-        if n >= cfg.max_iter:
-            return _report(SolveStatus.MAX_ITERATIONS, x, trace, started, matvecs)
+        trace.append(float(np.linalg.norm(b - y - diag * x)))
+        status = _terminal(trace[-1], eps, n, cfg.max_iter)
+        if status is not None:
+            return _report(status, x, trace, started, matvecs)
         x = (b - y) / diag
         n += 1
 
@@ -119,38 +131,28 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
 def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
     """Gauss-Seidel forward sweeps, updating in place row by row.
 
-    Builds a one-off row-major mirror of the matrix at setup (the sweep needs
-    row access, which CSC cannot provide directly).
+    Builds a one-off row-major mirror of the off-diagonal part at setup (the
+    sweep needs row access, which CSC cannot provide directly).  Row j reads
+    the entries x[<j] already updated in the same sweep.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
-    diag = A.diagonal()
-    dead = np.flatnonzero(diag == 0.0)
-    if dead.size:
-        raise ZeroDiagonal(int(dead[0]))
-    T = A.transpose()  # column j of T = row j of A
-    ptr, idx, vals = T.col_ptr, T.row_idx, T.values
+    diag, A_off = _split_diagonal(A)
+    T = A_off.transpose()  # column j of T = row j of A_off
+    ptr, idx, vals = T.col_ptr.tolist(), T.row_idx, T.values
 
     trace = []
     matvecs = 0
     n = 0
     while True:
-        res = float(np.linalg.norm(b - spmv(A, x)))
+        trace.append(float(np.linalg.norm(b - spmv(A, x))))
         matvecs += 1
-        trace.append(res)
-        if not np.isfinite(res):
-            return _report(SolveStatus.BREAKDOWN, x, trace, started, matvecs)
-        if res <= eps:
-            return _report(SolveStatus.CONVERGED, x, trace, started, matvecs)
-        if n >= cfg.max_iter:
-            return _report(SolveStatus.MAX_ITERATIONS, x, trace, started, matvecs)
+        status = _terminal(trace[-1], eps, n, cfg.max_iter)
+        if status is not None:
+            return _report(status, x, trace, started, matvecs)
         for j in range(A.nrows):
-            s = 0.0
-            for p in range(ptr[j], ptr[j + 1]):
-                i = idx[p]
-                if i != j:
-                    s += vals[p] * x[i]
-            x[j] = (b[j] - s) / diag[j]
+            lo, hi = ptr[j], ptr[j + 1]
+            x[j] = (b[j] - vals[lo:hi] @ x[idx[lo:hi]]) / diag[j]
         n += 1
 
 
@@ -170,9 +172,7 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn, directions_out=None):
     p = r.copy()
     rs = float(r @ r)
     n = 0
-    while trace[-1] > eps:
-        if n >= max_iter:
-            return x, trace, SolveStatus.MAX_ITERATIONS, matvecs
+    while (status := _terminal(trace[-1], eps, n, max_iter)) is None:
         Ap = apply_op(p)
         matvecs += 1
         pAp = float(p @ Ap)
@@ -191,7 +191,7 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn, directions_out=None):
         p = r + beta * p
         rs = rs_new
         n += 1
-    return x, trace, SolveStatus.CONVERGED, matvecs
+    return x, trace, status, matvecs
 
 
 def cg_solve(
@@ -320,54 +320,13 @@ def lanczos_process(A: SparseMatrix, r0, k: int, tol: float) -> LanczosState:
     return LanczosState(alpha=np.asarray(alphas), beta=np.asarray(betas), V=np.column_stack(vs))
 
 
-def _sym_ortho(a: float, b: float) -> tuple[float, float]:
-    """Stable Givens rotation (c, s) zeroing b against a."""
-    if b == 0.0:
-        return (1.0 if a >= 0 else -1.0), 0.0
-    if a == 0.0:
-        return 0.0, (1.0 if b >= 0 else -1.0)
-    if abs(b) > abs(a):
-        tau = a / b
-        s = (1.0 if b >= 0 else -1.0) / np.sqrt(1.0 + tau * tau)
-        return s * tau, s
-    tau = b / a
-    c = (1.0 if a >= 0 else -1.0) / np.sqrt(1.0 + tau * tau)
-    return c, c * tau
-
-
-def _hessenberg_lstsq(H: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Minimize ||beta e1 - H y|| for (j+1) x j Hessenberg H via Givens QR."""
-    rows, k = H.shape
-    R = H.copy()
-    g = np.zeros(rows)
-    g[0] = beta
-    cs = np.zeros(k)
-    sn = np.zeros(k)
-    for col in range(k):
-        for i in range(col):
-            hi = cs[i] * R[i, col] + sn[i] * R[i + 1, col]
-            R[i + 1, col] = -sn[i] * R[i, col] + cs[i] * R[i + 1, col]
-            R[i, col] = hi
-        c, s = _sym_ortho(R[col, col], R[col + 1, col])
-        cs[col], sn[col] = c, s
-        R[col, col] = c * R[col, col] + s * R[col + 1, col]
-        R[col + 1, col] = 0.0
-        g[col + 1] = -s * g[col]
-        g[col] = c * g[col]
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        y[i] = (g[i] - R[i, i + 1 : k] @ y[i + 1 : k]) / R[i, i]
-    return y, abs(float(g[k]))
-
-
 def _tridiagonal_from_lanczos(state: LanczosState) -> np.ndarray:
     k = state.alpha.size
+    j = np.arange(k)
     H = np.zeros((k + 1, k))
-    for j in range(k):
-        H[j, j] = state.alpha[j]
-        H[j + 1, j] = state.beta[j]
-        if j >= 1:
-            H[j - 1, j] = state.beta[j - 1]
+    H[j, j] = state.alpha
+    H[j + 1, j] = state.beta
+    H[j[:-1], j[1:]] = state.beta[:-1]
     return H
 
 
@@ -384,18 +343,22 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
     matvecs = 1
     trace = [float(np.linalg.norm(r))]
     restarts = 0
-    while trace[-1] > eps:
-        if restarts >= cfg.max_iter:
-            return _report(SolveStatus.MAX_ITERATIONS, x, trace, started, matvecs)
+    while (status := _terminal(trace[-1], eps, restarts, cfg.max_iter)) is None:
         V, H, used = inner(A, r, k, eps)
         matvecs += used
-        y, _ = _hessenberg_lstsq(H, trace[-1])
+        if not np.isfinite(H).all():  # a product overflowed; LAPACK would reject H
+            status = SolveStatus.BREAKDOWN
+            break
+        rhs = np.zeros(H.shape[0])
+        rhs[0] = trace[-1]
+        # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
+        y = np.linalg.lstsq(H, rhs, rcond=None)[0]
         x = x + V[:, : H.shape[1]] @ y
         r = b - spmv(A, x)
         matvecs += 1
         trace.append(float(np.linalg.norm(r)))
         restarts += 1
-    return _report(SolveStatus.CONVERGED, x, trace, started, matvecs)
+    return _report(status, x, trace, started, matvecs)
 
 
 def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:
@@ -455,60 +418,30 @@ class DominanceClass:
     symmetric: bool
 
 
+def _reaches_all(A: SparseMatrix) -> bool:
+    """Whether node 0 reaches every node along edges j -> i, one per stored a_ij."""
+    ptr, rows = A.col_ptr.tolist(), A.row_idx.tolist()
+    seen = [False] * A.nrows
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        j = stack.pop()
+        for i in rows[ptr[j] : ptr[j + 1]]:
+            if not seen[i]:
+                seen[i] = True
+                reached += 1
+                stack.append(i)
+    return reached == A.nrows
+
+
 def _strongly_connected(A: SparseMatrix) -> bool:
     """Whether the sparsity digraph (edge j -> i per stored entry) is one SCC.
 
-    Iterative Tarjan over the CSC adjacency; no recursion, O(nnz + m).
+    It is when node 0 reaches every node both in the digraph and in its
+    reverse, the digraph of the transpose: two depth-first passes, O(nnz + m).
     """
-    m = A.nrows
-    if m <= 1:
-        return True
-    ptr, rows = A.col_ptr, A.row_idx
-    index = [-1] * m
-    low = [0] * m
-    on_stack = [False] * m
-    stack: list[int] = []
-    counter = 0
-    n_scc = 0
-    for start in range(m):
-        if index[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            p = ptr[v] + pi
-            while p < ptr[v + 1]:
-                w = int(rows[p])
-                p += 1
-                if index[w] == -1:
-                    work[-1] = (v, p - ptr[v])
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                n_scc += 1
-                if n_scc > 1:
-                    return False
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return n_scc == 1
+    return A.nrows <= 1 or (_reaches_all(A) and _reaches_all(A.transpose()))
 
 
 def dominance_class(A: SparseMatrix) -> DominanceClass:

@@ -35,7 +35,7 @@ from .errors import (
     ZeroColumn,
     ZeroDenominator,
 )
-from .sparse import SparseMatrix, as_vector, column_sums, spmv, spmv_transpose
+from .sparse import SparseMatrix, as_vector, spmv, spmv_transpose
 
 __all__ = [
     "NonnegativeSystem",
@@ -55,6 +55,9 @@ __all__ = [
 
 _KL_FLOOR = 1e-300  # guards relative-drop ratios once the divergence underflows
 _MAX_AUTO_RETRIES = 6
+# stagnation: the relative KL drop stays below this for this many iterations
+_STAGNATION_REL_DELTA = 1e-12
+_STAGNATION_WINDOW = 50
 
 
 class SolveStatus(enum.Enum):
@@ -71,15 +74,13 @@ class SolverConfig:
     eps_tol None means the hybrid default 1e-8 * (1 + ||b||_2).  t_shift None
     selects the automatic positivity shift; any float >= 0 is used verbatim.
     Stagnation fires when the KL trace drops by a relative factor below
-    stagnation_rel_delta for stagnation_window consecutive iterations while
-    the residual is still above tolerance.
+    1e-12 for 50 consecutive iterations while the residual is still above
+    tolerance.
     """
 
     eps_tol: float | None = None
     t_shift: float | None = None
     max_iter: int = 100_000
-    stagnation_window: int = 50
-    stagnation_rel_delta: float = 1e-12
 
     def __post_init__(self):
         if self.eps_tol is not None and not self.eps_tol > 0.0:
@@ -88,10 +89,6 @@ class SolverConfig:
             raise ValueError("t_shift must be nonnegative")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be at least 1")
-        if not self.stagnation_rel_delta > 0.0:
-            raise ValueError("stagnation_rel_delta must be positive")
 
 
 @dataclass
@@ -383,8 +380,8 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
             gate = resid * eps / exact
         if prev_kl is not None:
             drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
-            streak = streak + 1 if drop < cfg.stagnation_rel_delta else 0
-            if streak >= cfg.stagnation_window:
+            streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
+            if streak >= _STAGNATION_WINDOW:
                 status = SolveStatus.STAGNATED_MIN_KL
                 break
         prev_kl = kl
@@ -486,7 +483,7 @@ def rate_certificate(A: SparseMatrix, x_star, dense_limit: int = 200) -> RateCer
     x_star = as_vector(x_star, "x_star")
     if x_star.shape != (A.ncols,):
         raise DimensionMismatch("x_star length does not match the matrix")
-    s = column_sums(A)
+    s = A.col_sums
     zero = np.flatnonzero(s == 0.0)
     if zero.size:
         raise ZeroColumn(int(zero[0]))

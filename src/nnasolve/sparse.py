@@ -19,7 +19,6 @@ from .errors import (
 __all__ = [
     "SparseMatrix",
     "as_vector",
-    "column_sums",
     "from_arrays",
     "from_triplets",
     "spmv",
@@ -182,8 +181,3 @@ def spmv_transpose(A: SparseMatrix, c) -> np.ndarray:
     if A.values.size == 0:
         return np.zeros(A.ncols)
     return np.bincount(A.entry_col, weights=A.values * c[A.row_idx], minlength=A.ncols)
-
-
-def column_sums(A: SparseMatrix) -> np.ndarray:
-    """Cached per-column sums of the stored values."""
-    return A.col_sums.copy()

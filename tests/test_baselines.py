@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnasolve import (
     Dominance,
@@ -12,6 +14,8 @@ from nnasolve import (
     arnoldi_process,
     cg_solve,
     dominance_class,
+    from_arrays,
+    from_triplets,
     gauss_seidel_solve,
     gmres_restarted,
     is_symmetric,
@@ -20,7 +24,7 @@ from nnasolve import (
     minres_solve,
     normal_equation_solve,
 )
-from conftest import identity, sparse_of, spd_dominant
+from conftest import dominant_mixed, identity, sparse_of, spd_dominant
 
 
 CFG = SolverConfig(eps_tol=1e-9, max_iter=10_000)
@@ -67,6 +71,20 @@ def test_gauss_seidel_identity_and_dominant():
     assert gs.status is SolveStatus.CONVERGED
     assert np.abs(gs.x - np.linalg.solve(dense, b)).max() <= 1e-8
     assert gs.iterations < ja.iterations
+
+
+def test_gauss_seidel_sweep_is_in_place_and_forward():
+    # a Jacobi step would also converge on this matrix; one sweep tells them apart
+    rng = np.random.default_rng(11)
+    dense = dominant_mixed(rng, 6)
+    b = rng.uniform(-1, 1, 6)
+    x0 = rng.uniform(-1, 1, 6)
+    report = gauss_seidel_solve(sparse_of(dense), b, x0=x0, cfg=SolverConfig(eps_tol=1e-300, max_iter=1))
+    x = x0.copy()
+    for j in range(6):
+        x[j] = (b[j] - dense[j, :j] @ x[:j] - dense[j, j + 1 :] @ x[j + 1 :]) / dense[j, j]
+    assert report.status is SolveStatus.MAX_ITERATIONS and report.iterations == 1
+    assert np.abs(report.x - x).max() <= 1e-14
 
 
 def test_gauss_seidel_spd_two_by_two():
@@ -152,6 +170,45 @@ def test_gmres_can_stagnate():
     )
     assert report.status is SolveStatus.MAX_ITERATIONS
     assert report.residual_trace[-1] == pytest.approx(report.residual_trace[0])
+
+
+def test_singular_hessenberg_runs_to_max_iter():
+    # A e1 = 0, so the first Arnoldi step ends on a zero column of H
+    nilpotent = from_triplets(2, 2, [(0, 1, 1.0)])
+    report = gmres_restarted(nilpotent, [1.0, 0.0], k=2, cfg=SolverConfig(max_iter=20))
+    assert report.status is SolveStatus.MAX_ITERATIONS
+    assert np.all(np.isfinite(report.x))
+    assert report.residual_trace[-1] == pytest.approx(1.0)
+
+    # b is not in the range of diag(1, 0): the iterate settles on the least-squares solution
+    singular = from_triplets(2, 2, [(0, 0, 1.0)])
+    report = minres_solve(singular, [1.0, 1.0], k=2, cfg=SolverConfig(max_iter=20))
+    assert report.status is SolveStatus.MAX_ITERATIONS
+    assert np.allclose(report.x, [1.0, 0.0], atol=1e-12)
+    assert report.residual_trace[-1] == pytest.approx(1.0)
+
+
+_DIAG = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 2.0)])
+_HUGE = from_triplets(2, 2, [(0, 0, 1e308), (0, 1, 1e308), (1, 0, 1e308), (1, 1, -1e308)])
+
+
+@pytest.mark.parametrize(
+    "solve, A, b",
+    [
+        (cg_solve, _DIAG, [1e300, 1e300]),
+        (normal_equation_solve, _DIAG, [1e300, 1e300]),
+        (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), _DIAG, [1e300, 1e300]),
+        (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), _DIAG, [1e300, 1e300]),
+        (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), _HUGE, [1.0, 1.0]),
+        (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), _HUGE, [1.0, 1.0]),
+    ],
+    ids=["cg", "normal-cg", "gmres", "minres", "gmres-overflowing-basis", "minres-overflowing-basis"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_values_are_breakdown(solve, A, b):
+    report = solve(A, b, cfg=SolverConfig(max_iter=20))
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.residual_trace.size == report.iterations + 1
 
 
 def test_arnoldi_orthonormal_basis():
@@ -285,6 +342,45 @@ def test_strong_connectivity_against_scipy():
         A = sparse_of(dense)
         n, _ = connected_components(scipy_sparse.csr_matrix(dense), directed=True, connection="strong")
         assert _strongly_connected(A) == (n == 1)
+
+    # long chains, edge j -> i per stored a_ij
+    m = 2_000
+    nodes = np.arange(m)
+    ones = np.ones(m)
+    assert _strongly_connected(from_arrays(m, m, (nodes + 1) % m, nodes, ones))
+    assert not _strongly_connected(from_arrays(m, m, nodes[1:], nodes[:-1], ones[1:]))
+    # the cycle on 0..m-1 plus node m, whose only edge leads out of it
+    rows = np.append((nodes + 1) % m, 0)
+    assert not _strongly_connected(from_arrays(m + 1, m + 1, rows, np.append(nodes, m), np.ones(m + 1)))
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs, half of them built on a Hamiltonian cycle with at most one edge cut."""
+    m = draw(st.integers(1, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=2 * m))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(m)))
+        cut = draw(st.integers(-1, m - 1))
+        edges += [(order[(i + 1) % m], order[i]) for i in range(m) if i != cut]
+    return m, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=digraphs())
+def test_strong_connectivity_property_against_scipy(graph):
+    scipy_sparse = pytest.importorskip("scipy.sparse")
+    from scipy.sparse.csgraph import connected_components
+
+    from nnasolve.baselines import _strongly_connected
+
+    m, edges = graph
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    A = from_arrays(m, m, rows, cols, np.ones(len(edges)))
+    pattern = scipy_sparse.csr_matrix((np.ones(A.nnz), (A.row_idx, A.entry_col)), shape=(m, m))
+    n, _ = connected_components(pattern, directed=True, connection="strong")
+    assert _strongly_connected(A) == (n == 1)
 
 
 def test_is_symmetric():

@@ -151,6 +151,30 @@ def test_overflowing_shift_is_breakdown_exit_code(tmp_path, capsys):
     assert "NonFiniteValue" in out
 
 
+@pytest.mark.parametrize("solver", ["cg", "normal-cg", "gmres", "minres"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_residual_is_breakdown_exit_code(tmp_path, capsys, solver):
+    # ||b|| overflows; the run used to end as converged with a NaN residual (exit 0)
+    mtx, vec = tmp_path / "d.mtx", tmp_path / "d.rhs"
+    write_matrix_market(sparse_of([[1.0, 0.0], [0.0, 2.0]]), mtx)
+    vec.write_text("1e300 1e300\n")
+    argv = ["solve", "--matrix", str(mtx), "--rhs", str(vec), "--solver", solver, "--k", "2", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert "breakdown" in capsys.readouterr().out
+
+
+def test_singular_hessenberg_exit_code(tmp_path, capsys):
+    # A = [[0, 1], [0, 0]] maps e1 to 0, so GMRES's least-squares matrix is singular
+    mtx, vec = tmp_path / "nil.mtx", tmp_path / "nil.rhs"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 1.0\n")
+    vec.write_text("1 0\n")
+    argv = ["solve", "--matrix", str(mtx), "--rhs", str(vec), "--solver", "gmres", "--k", "2", "--max-iter", "20"]
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert "max_iterations" in capsys.readouterr().out
+    residuals = np.loadtxt(tmp_path / "gmres.csv", delimiter=",", skiprows=1, usecols=1)
+    assert residuals.size == 21 and np.all(residuals == 1.0)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("not a matrix file\n")

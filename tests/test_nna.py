@@ -32,6 +32,7 @@ from nnasolve import (
     shift,
     spmv,
 )
+from nnasolve.nna import _STAGNATION_REL_DELTA, _STAGNATION_WINDOW
 from conftest import consistent_nonneg, identity, sparse_of
 
 
@@ -302,8 +303,8 @@ def reference_solve(A, b, cfg):
             gate = tracked * cfg.eps_tol / exact
         if prev_kl is not None:
             drop = (prev_kl - kl) / max(prev_kl, 1e-300)
-            streak = streak + 1 if drop < cfg.stagnation_rel_delta else 0
-            if streak >= cfg.stagnation_window:
+            streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
+            if streak >= _STAGNATION_WINDOW:
                 status = SolveStatus.STAGNATED_MIN_KL
                 break
         prev_kl = kl
@@ -359,14 +360,22 @@ def test_solve_loop_matches_plain_kernels(case, expected):
 
 
 def test_solve_path_imports_no_scipy():
-    # importing scipy.sparse costs ~21 MB of resident memory; the solvers use numpy only
+    # importing scipy.sparse costs ~21 MB of resident memory; the solvers and the
+    # baselines (least squares included) use numpy only
     code = (
         "import sys, numpy as np\n"
-        "from nnasolve import from_triplets, general_solve, nna_solve\n"
+        "from nnasolve import (dominance_class, from_triplets, gauss_seidel_solve, general_solve,\n"
+        "    gmres_restarted, minres_solve, nna_solve)\n"
         "A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)])\n"
         "assert nna_solve(A, [3.0, 2.0]).status.value == 'converged'\n"
         "B = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, -1.0)])\n"
         "assert general_solve(B, [1.0, 2.0]).status.value == 'converged'\n"
+        "assert gmres_restarted(B, [1.0, 2.0], k=2).status.value == 'converged'\n"
+        "assert gauss_seidel_solve(B, [1.0, 2.0]).status.value == 'converged'\n"
+        "S = from_triplets(3, 3, [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0), (0, 1, -1.0), (1, 0, -1.0),\n"
+        "    (1, 2, -1.0), (2, 1, -1.0)])\n"
+        "assert minres_solve(S, [1.0, 0.0, 1.0], k=2).status.value == 'converged'\n"
+        "assert dominance_class(S).classification.value == 'irreducibly_dominant'\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(nnasolve.__file__).resolve().parents[1])
@@ -467,10 +476,6 @@ def test_solver_config_validation():
         SolverConfig(t_shift=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(stagnation_window=0)
-    with pytest.raises(ValueError):
-        SolverConfig(stagnation_rel_delta=0.0)
 
 
 # ---------------------------------------------------------------------------

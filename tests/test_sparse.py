@@ -5,7 +5,6 @@ from nnasolve import (
     DimensionMismatch,
     IndexOutOfRange,
     NonFiniteValue,
-    column_sums,
     from_arrays,
     from_triplets,
     spmv,
@@ -97,10 +96,10 @@ def test_spmv_transpose_with_empty_columns():
 
 
 def test_column_sums_examples():
-    assert np.allclose(column_sums(identity(4)), np.ones(4))
-    assert np.allclose(column_sums(sparse_of([[1.0, 2.0], [3.0, 4.0]])), [4.0, 6.0])
+    assert np.allclose(identity(4).col_sums, np.ones(4))
+    assert np.allclose(sparse_of([[1.0, 2.0], [3.0, 4.0]]).col_sums, [4.0, 6.0])
     A = from_triplets(2, 2, [(0, 0, 1.0)])  # zero column 1
-    assert np.allclose(column_sums(A), [1.0, 0.0])
+    assert np.allclose(A.col_sums, [1.0, 0.0])
 
 
 def test_adjointness_randomized():
@@ -162,7 +161,7 @@ def test_degenerate_shapes():
 
     wide = from_triplets(0, 2, [])
     assert np.array_equal(spmv_transpose(wide, np.empty(0)), np.zeros(2))
-    assert np.array_equal(column_sums(wide), np.zeros(2))
+    assert np.array_equal(wide.col_sums, np.zeros(2))
 
 
 def test_col_ptr_invariants():
