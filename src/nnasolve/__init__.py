@@ -30,7 +30,6 @@ from .errors import (
     NnaSolveError,
     NonFiniteValue,
     NonPositiveRhs,
-    NotOnSimplex,
     NotSquare,
     NotSymmetric,
     ParseError,
@@ -43,7 +42,7 @@ from .errors import (
     ZeroDenominator,
     ZeroDiagonal,
 )
-from .metrics import SIMPLEX_TOL, kl_divergence, l2_bridge, pinsker_check, total_variation
+from .metrics import kl_divergence, l2_bridge
 from .nna import (
     NonnegativeSystem,
     RateCertificate,

@@ -159,7 +159,7 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
-def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn, directions_out=None):
+def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
     """Textbook CG recurrence on an abstract SPD operator.
 
     value_fn maps the recurrence state (x, r) to the traced/stopping residual
@@ -180,8 +180,6 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn, directions_out=None):
             raise IndefiniteBreakdown(
                 f"p^T A p = {pAp:.3e} <= 0 at iteration {n}; operator is not positive definite"
             )
-        if directions_out is not None:
-            directions_out.append(p.copy())
         alpha = rs / pAp
         x = x + alpha * p
         r = r - alpha * Ap
@@ -200,7 +198,6 @@ def cg_solve(
     x0=None,
     cfg: SolverConfig | None = None,
     assume_symmetric: bool = False,
-    directions_out: list | None = None,
 ) -> SolveReport:
     """Conjugate gradients for symmetric positive definite A.
 
@@ -220,7 +217,6 @@ def cg_solve(
         eps,
         cfg.max_iter,
         lambda x, r: float(np.linalg.norm(r)),
-        directions_out,
     )
     return _report(status, x, trace, started, matvecs)
 

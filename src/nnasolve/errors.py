@@ -25,10 +25,6 @@ class NegativeInput(NnaSolveError, ValueError):
     """Negative entries where a nonnegative vector is required."""
 
 
-class NotOnSimplex(NnaSolveError, ValueError):
-    """Input is not a probability vector within tolerance."""
-
-
 class InfiniteDivergence(NnaSolveError, ValueError):
     """A finite divergence value is required."""
 

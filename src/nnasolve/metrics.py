@@ -1,4 +1,4 @@
-"""Divergences between nonnegative vectors: KL, total variation, and norm bridges."""
+"""Divergences between nonnegative vectors: KL and its bridge to an l2 error bound."""
 
 from __future__ import annotations
 
@@ -6,17 +6,9 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfiniteDivergence,
-    NegativeInput,
-    NonFiniteValue,
-    NotOnSimplex,
-)
+from .errors import DimensionMismatch, InfiniteDivergence, NegativeInput, NonFiniteValue
 
-__all__ = ["SIMPLEX_TOL", "kl_divergence", "l2_bridge", "pinsker_check", "total_variation"]
-
-SIMPLEX_TOL = 1e-9
+__all__ = ["kl_divergence", "l2_bridge"]
 
 
 def _pair(u, v):
@@ -46,31 +38,6 @@ def kl_divergence(u, v) -> float:
     if np.any(vm == 0.0):
         return math.inf
     return float(np.sum(um * np.log(um / vm)))
-
-
-def total_variation(u, v) -> float:
-    """Unhalved l1 distance sum_i |u_i - v_i|."""
-    u, v = _pair(u, v)
-    return float(np.sum(np.abs(u - v)))
-
-
-def _require_simplex(w, name):
-    if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > SIMPLEX_TOL:
-        raise NotOnSimplex(f"{name} is not a probability vector (tolerance {SIMPLEX_TOL})")
-
-
-def pinsker_check(u, v) -> bool:
-    """Whether D(u, v) >= V(u, v)^2 / 2 holds at the computed values.
-
-    Both inputs must lie on the probability simplex.  Used as a
-    self-consistency probe in tests and diagnostics.
-    """
-    u, v = _pair(u, v)
-    _require_simplex(u, "u")
-    _require_simplex(v, "v")
-    d = kl_divergence(u, v)
-    t = total_variation(u, v)
-    return d >= 0.5 * t * t
 
 
 def l2_bridge(x_star, kl: float) -> float:

@@ -99,10 +99,15 @@ class SolveReport:
     length iterations + 1 (iterate 0 included).  kl_trace[n] is
     D(b_tilde, b_tilde_n) on the rescaled system; it is empty for solvers
     that do not track a divergence.  matvec_count counts products with the
-    iteration matrix; for nna_solve without residual_fn it also counts the
-    products with A that recompute the residual of the returned x (one per
-    solve, plus one per failed convergence recheck), so the last
-    residual_trace entry is that recomputed value.
+    iteration matrix.  For nna_solve and general_solve that is the matrix
+    the loop iterates (P for an embedded system), and the count also holds
+    the products that recompute the residual of the returned x (one per
+    solve, plus one per failed convergence recheck), summed over every
+    auto-shift attempt; the last residual_trace entry is that recomputed
+    value.  general_solve maps each tracked residual to the original system
+    through the tie block of P, a product with A's negative entries only
+    (13.7% of nnz(P) on the benchmark's mixed-mtx instance), which is not
+    counted.
     """
 
     status: SolveStatus
@@ -323,18 +328,21 @@ def _breakdown(exc: Exception, b: np.ndarray, started: int) -> SolveReport:
 
 # a zero or non-finite M x_tilde is reported by _ratio_and_divergence, not by warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
+def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     """Iterate from a fixed shift; returns a report without elapsed time filled in.
 
-    Without residual_fn the loop tracks b_total * ||M x_tilde - q||, which is
-    ||A x_t - b_t|| in exact arithmetic but not the residual of the returned
-    x = recover(x_tilde) - t: the subtraction of a large t cancels digits.
-    So once the tracked residual reaches the gate (eps at first), the
-    residual of the returned x is recomputed from A and b; the run converges
-    only if that value is within eps, else the gate is lowered by the observed
-    ratio and the iteration goes on.  On any exit the last trace entry is the
-    recomputed residual of the returned x.  One ratio q / (M x_tilde) per
-    iteration feeds the divergence, the breakdown check and the update.
+    The loop tracks r = b_total * (M x_tilde - q), which is A x - b in exact
+    arithmetic.  For an embedded system (A = P, b = c, tie the m1 x J top
+    block of P's slack columns) the residual of the original system is
+    r[:m1] - tie r[m1:], and that is what is tracked; tie is None otherwise.
+    Neither is the residual of the returned x = recover(x_tilde) - t: the
+    subtraction of a large t cancels digits.  So once the tracked residual
+    reaches the gate (eps at first), the residual of the returned x is
+    recomputed from A and b; the run converges only if that value is within
+    eps, else the gate is lowered by the observed ratio and the iteration
+    goes on.  On any exit the last trace entry is the recomputed residual of
+    the returned x.  One ratio q / (M x_tilde) per iteration feeds the
+    divergence, the breakdown check and the update.
     """
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
@@ -346,8 +354,11 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
     # on the probability simplex and every later iterate stays there
     xt = x_t * system.col_scale / system.b_total
 
+    def original(r):
+        return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
+
     def exact_residual(x):
-        return float(np.linalg.norm(spmv(A, x) - b))
+        return float(np.linalg.norm(original(spmv(A, x) - b)))
 
     res_trace: list[float] = []
     kl_trace: list[float] = []
@@ -359,18 +370,14 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
     while True:
         b_n = spmv(system.a_tilde, xt)
         matvecs += 1
-        if residual_fn is None:
+        if tie is None:
             resid = system.b_total * float(np.linalg.norm(b_n - q))
         else:
-            resid = float(residual_fn(system.recover(xt) - t))
+            resid = system.b_total * float(np.linalg.norm(original(b_n - q)))
         c_n, kl = _ratio_and_divergence(q, b_n)
         res_trace.append(resid)
         kl_trace.append(kl)
-        if residual_fn is not None:
-            if resid <= eps:
-                status = SolveStatus.CONVERGED
-                break
-        elif resid <= gate:
+        if resid <= gate:
             exact = exact_residual(system.recover(xt) - t)
             matvecs += 1
             res_trace[-1] = exact
@@ -393,7 +400,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
         n += 1
 
     x = system.recover(xt) - t
-    if residual_fn is None and status is not SolveStatus.CONVERGED:
+    if status is not SolveStatus.CONVERGED:
         res_trace[-1] = exact_residual(x)
         matvecs += 1
     return SolveReport(
@@ -407,13 +414,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, residual_fn):
     )
 
 
-def nna_solve(
-    A: SparseMatrix,
-    b,
-    x0=None,
-    cfg: SolverConfig | None = None,
-    residual_fn=None,
-) -> SolveReport:
+def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve A x = b for nonnegative A by shift, rescale and multiplicative iteration.
 
     b may have any sign (the shift is applied internally); the returned x is
@@ -422,15 +423,17 @@ def nna_solve(
     no solution signals arrival at the minimal-KL point.  When the automatic
     shift was engaged (some b_i <= 0) and the run stagnates, the shift is
     doubled and the solve retried a bounded number of times, keeping the best
-    attempt; explicit t and positive-b runs are never retried.  Setup defects
-    (zero column, unshiftable row, zero row with positive b) and values that
-    overflow during the run come back as a BREAKDOWN report carrying a
-    diagnostic instead of an exception.
-
-    residual_fn optionally replaces the traced/stopping residual; it receives
-    the current iterate in original (un-shifted) coordinates.  Wrappers use
-    it to report residuals of an outer system.
+    attempt; its matvec_count sums the products of every attempt.  Explicit
+    t and positive-b runs are never retried.  Setup defects (zero column,
+    unshiftable row, zero row with positive b) and values that overflow
+    during the run come back as a BREAKDOWN report carrying a diagnostic
+    instead of an exception.
     """
+    return _solve(A, b, x0, cfg, None)
+
+
+def _solve(A, b, x0, cfg, tie) -> SolveReport:
+    """nna_solve on A, with residuals mapped through the tie block when it is not None."""
     cfg = cfg if cfg is not None else SolverConfig()
     started = time.perf_counter_ns()
     b_arr = as_vector(b, "b")
@@ -447,12 +450,14 @@ def nna_solve(
 
     auto = cfg.t_shift is None
     best = None
+    matvecs = 0
     attempt = 0
     while True:
         try:
-            report = _run_iteration(A, b_arr, shifted, x_start, cfg, eps, residual_fn)
+            report = _run_iteration(A, b_arr, shifted, x_start, cfg, eps, tie)
         except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
             return _breakdown(exc, b_arr, started)
+        matvecs += report.matvec_count
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
             best = report
         retry = (
@@ -466,7 +471,7 @@ def nna_solve(
         attempt += 1
         t_next = 2.0 * shifted.t
         shifted = ShiftedSystem(t_next, b_arr + t_next * shifted.a_row_sums, shifted.a_row_sums)
-    return replace(best, elapsed_ns=time.perf_counter_ns() - started)
+    return replace(best, elapsed_ns=time.perf_counter_ns() - started, matvec_count=matvecs)
 
 
 def rate_certificate(A: SparseMatrix, x_star, dense_limit: int = 200) -> RateCertificate:

@@ -24,6 +24,7 @@ from nnasolve import (
     minres_solve,
     normal_equation_solve,
 )
+from nnasolve.baselines import _cg_core
 from conftest import dominant_mixed, identity, sparse_of, spd_dominant
 
 
@@ -134,9 +135,14 @@ def test_cg_directions_are_conjugate():
     for _ in range(5):
         m = int(rng.integers(10, 31))
         dense = spd_dominant(rng, m)
-        directions = []
-        cg_solve(sparse_of(dense), rng.uniform(-1, 1, m), cfg=SolverConfig(eps_tol=1e-10), directions_out=directions)
-        P = np.column_stack(directions)
+        applied = []
+
+        def apply_op(v):
+            applied.append(v.copy())
+            return dense @ v
+
+        _cg_core(apply_op, rng.uniform(-1, 1, m), np.zeros(m), 1e-10, 100_000, lambda x, r: float(np.linalg.norm(r)))
+        P = np.column_stack(applied[1:])  # the first product is A x0, not a direction
         gram = P.T @ dense @ P
         scale = np.sqrt(np.diag(gram))
         cosines = gram / np.outer(scale, scale)

@@ -10,6 +10,7 @@ from nnasolve import (
     extract,
     general_solve,
     nna_solve,
+    shift,
     spmv,
 )
 from conftest import dominant_mixed, identity, sparse_of
@@ -43,6 +44,7 @@ def test_embed_three_by_three_tied_columns():
         ]
     )
     assert np.array_equal(emb.P.to_dense(), expected)
+    assert np.array_equal(emb.tie.to_dense(), expected[:3, 3:])
     assert np.array_equal(emb.c, [1.0, 2.0, 3.0, 0.0, 0.0])
 
 
@@ -168,6 +170,15 @@ def test_general_solve_residual_trace_is_original_system():
     assert report.status is SolveStatus.CONVERGED
     assert report.residual_trace[-1] == pytest.approx(np.linalg.norm(dense @ report.x - b), abs=1e-9)
     assert report.residual_trace[-1] <= 1e-9
+    # one product with P per half-step plus the one recheck that confirmed convergence
+    assert report.matvec_count == 2 * report.iterations + 2
+    # entry k is ||A x_k - b|| for the x_k a run capped at k iterations returns,
+    # up to the rounding of working at shift t: eps * t * sum|P|, about 2e-13 here
+    emb = embed(A, b)
+    floor = np.finfo(float).eps * shift(emb.P, emb.c).t * np.abs(emb.P.values).sum()
+    for k, tracked in enumerate(report.residual_trace):
+        x_k = general_solve(A, b, cfg=SolverConfig(eps_tol=1e-9, max_iter=k)).x
+        assert tracked == pytest.approx(np.linalg.norm(dense @ x_k - b), rel=1e-6, abs=floor), k
 
 
 def test_general_solve_rectangular():

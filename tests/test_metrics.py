@@ -8,11 +8,8 @@ from nnasolve import (
     InfiniteDivergence,
     NegativeInput,
     NonFiniteValue,
-    NotOnSimplex,
     kl_divergence,
     l2_bridge,
-    pinsker_check,
-    total_variation,
 )
 
 
@@ -49,39 +46,6 @@ def test_kl_nonnegative_on_simplex_pairs():
     for _ in range(10_000):
         m = int(rng.integers(2, 8))
         assert kl_divergence(simplex_point(rng, m), simplex_point(rng, m)) >= 0.0
-
-
-def test_total_variation_examples():
-    assert total_variation([0.3, 0.7], [0.3, 0.7]) == 0.0
-    assert total_variation([1.0, 0.0], [0.0, 1.0]) == 2.0
-    assert total_variation([0.6, 0.4], [0.5, 0.5]) == pytest.approx(0.2, rel=1e-12)
-    with pytest.raises(DimensionMismatch):
-        total_variation([1.0], [1.0, 0.0])
-
-
-def test_total_variation_symmetry_and_triangle():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        m = int(rng.integers(1, 9))
-        u, v, w = rng.uniform(-2, 2, (3, m))
-        assert total_variation(u, v) == total_variation(v, u)
-        assert total_variation(u, w) <= total_variation(u, v) + total_variation(v, w) + 1e-12
-
-
-def test_pinsker_examples_and_property():
-    assert pinsker_check([0.5, 0.5], [0.5, 0.5])
-    assert pinsker_check([1.0, 0.0], [0.5, 0.5])  # log 2 >= 1/2
-    rng = np.random.default_rng(3)
-    for _ in range(2000):
-        m = int(rng.integers(2, 10))
-        assert pinsker_check(simplex_point(rng, m), simplex_point(rng, m))
-
-
-def test_pinsker_rejects_non_simplex():
-    with pytest.raises(NotOnSimplex):
-        pinsker_check([0.5, 0.6], [0.5, 0.5])
-    with pytest.raises(NotOnSimplex):
-        pinsker_check([1.5, -0.5], [0.5, 0.5])
 
 
 def test_l2_bridge_values():

@@ -401,6 +401,20 @@ def test_solve_auto_shift_recovers_signed_solution():
     assert np.abs(report.x - x_star).max() <= 1e-8
 
 
+def test_solve_auto_shift_retries_count_every_attempt():
+    # x* = (3, -3) needs a shift above 3: t = 0.317, 0.634, 1.267 and 2.535
+    # stagnate (541, 1172, 3089 and 30226 iterations) before t = 5.069
+    # converges in 9201; matvec_count sums the products of all five attempts
+    A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
+    b = spmv(A, np.array([3.0, -3.0]))
+    report = nna_solve(A, b)
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 9201
+    recomputed = float(np.linalg.norm(A.to_dense() @ report.x - b))
+    assert recomputed <= default_tolerance(b)
+    assert report.matvec_count == 88_468
+
+
 def test_solve_converged_means_returned_x_meets_tolerance():
     # the loop tracks the residual of the shifted, rescaled iterate; at t=1000
     # the un-shift x = x_t - 1000 cancels about three digits, and on this
