@@ -60,7 +60,7 @@ def _setup(A: SparseMatrix, b, x0, cfg, square=True):
     return b, x, cfg, eps
 
 
-def _report(status, x, trace, started, matvecs):
+def _report(status, x, trace, started, matvecs, diagnostic=None):
     return SolveReport(
         status=status,
         iterations=len(trace) - 1,
@@ -69,6 +69,7 @@ def _report(status, x, trace, started, matvecs):
         kl_trace=np.empty(0),
         elapsed_ns=time.perf_counter_ns() - started,
         matvec_count=matvecs,
+        diagnostic=diagnostic,
     )
 
 
@@ -330,7 +331,12 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
     """Shared outer loop: restart the inner projection until tolerance.
 
     One report iteration is one restart (one application of the k-step
-    cycle); matvec_count carries the total number of products.
+    cycle); matvec_count carries the total number of products.  A restart
+    that ends on an invariant Krylov space (last subdiagonal of H below eps)
+    and still leaves x unchanged is GMRES's breakdown: H is singular there,
+    the space holds no better x, and every later restart would repeat this
+    one bit for bit, so the run ends as BREAKDOWN.  A zero step on a space
+    that is not invariant is stagnation; it runs on to max_iter.
     """
     b, x, cfg, eps = _setup(A, b, x0, cfg)
     if k < 1:
@@ -339,6 +345,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
     matvecs = 1
     trace = [float(np.linalg.norm(r))]
     restarts = 0
+    diagnostic = None
     while (status := _terminal(trace[-1], eps, restarts, cfg.max_iter)) is None:
         V, H, used = inner(A, r, k, eps)
         matvecs += used
@@ -349,12 +356,22 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
         rhs[0] = trace[-1]
         # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
         y = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        x = x + V[:, : H.shape[1]] @ y
+        x_next = x + V[:, : H.shape[1]] @ y
+        restarts += 1
+        if H[-1, -1] < eps and np.array_equal(x_next, x):
+            # r is unchanged too, so every later restart would repeat this one bit for bit
+            trace.append(trace[-1])
+            status = SolveStatus.BREAKDOWN
+            diagnostic = (
+                f"restart {restarts}: the Krylov space is invariant under A but its "
+                "least-squares step left x unchanged; every later restart would repeat it"
+            )
+            break
+        x = x_next
         r = b - spmv(A, x)
         matvecs += 1
         trace.append(float(np.linalg.norm(r)))
-        restarts += 1
-    return _report(status, x, trace, started, matvecs)
+    return _report(status, x, trace, started, matvecs, diagnostic)
 
 
 def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:

@@ -248,19 +248,6 @@ def _ratio_with_convention(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _ratio_and_divergence(q: np.ndarray, b_n: np.ndarray) -> tuple[np.ndarray, float]:
-    """c = q / b_n and D(q, b_n) = sum_i q_i log c_i from that one division.
-
-    As q > 0, any zero, negative or non-finite b_i makes D non-finite; only
-    then do the typed checks of _ratio_with_convention and kl_divergence run.
-    """
-    c = q / b_n
-    kl = float(np.sum(q * np.log(c)))
-    if math.isfinite(kl):
-        return c, kl
-    return _ratio_with_convention(q, b_n), metrics.kl_divergence(q, b_n)
-
-
 def _update(system: NonnegativeSystem, x_n: np.ndarray, c_n: np.ndarray) -> np.ndarray:
     """x_n * a_tilde^T c_n, the update given the ratio c_n = b_tilde / a_tilde x_n."""
     return x_n * spmv_transpose(system.a_tilde, c_n)
@@ -326,7 +313,7 @@ def _breakdown(exc: Exception, b: np.ndarray, started: int) -> SolveReport:
     )
 
 
-# a zero or non-finite M x_tilde is reported by _ratio_and_divergence, not by warnings
+# a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     """Iterate from a fixed shift; returns a report without elapsed time filled in.
@@ -341,8 +328,15 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     recomputed from A and b; the run converges only if that value is within
     eps, else the gate is lowered by the observed ratio and the iteration
     goes on.  On any exit the last trace entry is the recomputed residual of
-    the returned x.  One ratio q / (M x_tilde) per iteration feeds the
-    divergence, the breakdown check and the update.
+    the returned x.
+
+    One ratio c = q / (M x_tilde) per iteration feeds the divergence, the
+    breakdown check and the update.  Each iteration is spelled in numpy
+    primitives, but its arithmetic matches nna_step and kl_divergence bit
+    for bit: sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector,
+    and np.add.reduce what np.sum computes.  As q > 0, any zero, negative or
+    non-finite (M x_tilde)_i makes the divergence non-finite; only then do
+    the typed checks of _ratio_with_convention and kl_divergence run.
     """
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
@@ -360,6 +354,10 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     def exact_residual(x):
         return float(np.linalg.norm(original(spmv(A, x) - b)))
 
+    # looked up once: the loop body is a handful of numpy calls, so each
+    # attribute or global lookup it saves is a measurable share of it
+    a_tilde, b_total, max_iter = system.a_tilde, system.b_total, cfg.max_iter
+    sqrt, isfinite, log, add_reduce = math.sqrt, math.isfinite, np.log, np.add.reduce
     res_trace: list[float] = []
     kl_trace: list[float] = []
     matvecs = 0
@@ -368,13 +366,14 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     gate = eps
     n = 0
     while True:
-        b_n = spmv(system.a_tilde, xt)
+        b_n = spmv(a_tilde, xt)
         matvecs += 1
-        if tie is None:
-            resid = system.b_total * float(np.linalg.norm(b_n - q))
-        else:
-            resid = system.b_total * float(np.linalg.norm(original(b_n - q)))
-        c_n, kl = _ratio_and_divergence(q, b_n)
+        d = b_n - q if tie is None else original(b_n - q)
+        resid = b_total * sqrt(d.dot(d))
+        c_n = q / b_n
+        kl = float(add_reduce(q * log(c_n)))
+        if not isfinite(kl):
+            c_n, kl = _ratio_with_convention(q, b_n), metrics.kl_divergence(q, b_n)
         res_trace.append(resid)
         kl_trace.append(kl)
         if resid <= gate:
@@ -392,7 +391,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
                 status = SolveStatus.STAGNATED_MIN_KL
                 break
         prev_kl = kl
-        if n >= cfg.max_iter:
+        if n >= max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
         xt = _update(system, xt, c_n)

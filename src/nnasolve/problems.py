@@ -290,6 +290,8 @@ def write_matrix_market(A: SparseMatrix, path, comment: str | None = None) -> No
 # trace CSV
 
 _TRACE_HEADER = "iter,residual_l2,kl_b,elapsed_ns"
+_ROW_WITH_KL = "%d,%.17g,%.17g,%d\n"
+_ROW_WITHOUT_KL = "%d,%.17g,,%d\n"
 
 
 def write_trace(report: SolveReport, path) -> None:
@@ -300,14 +302,16 @@ def write_trace(report: SolveReport, path) -> None:
     leave the column empty.  LF line endings, locale-independent decimals.
     """
     res, kl = report.residual_trace, report.kl_trace
-    row = "{},{:.17g},{},{}\n".format
+    elapsed = repeat(report.elapsed_ns)
     with open(path, "w", newline="") as fh:
         fh.write(_TRACE_HEADER + "\n")
         for start in range(0, res.size, _CHUNK_LINES):
             stop = min(start + _CHUNK_LINES, res.size)
-            kl_text = [format(d, ".17g") for d in kl[start:stop].tolist()]
-            kl_text += [""] * (stop - start - len(kl_text))
-            fh.write("".join(map(row, range(start, stop), res[start:stop].tolist(), kl_text, repeat(report.elapsed_ns))))
+            split = min(max(start, kl.size), stop)  # rows before split have a divergence
+            rows = zip(range(start, split), res[start:split].tolist(), kl[start:split].tolist(), elapsed)
+            fh.write("".join(map(_ROW_WITH_KL.__mod__, rows)))
+            rows = zip(range(split, stop), res[split:stop].tolist(), elapsed)
+            fh.write("".join(map(_ROW_WITHOUT_KL.__mod__, rows)))
 
 
 def read_trace(path):

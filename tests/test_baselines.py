@@ -178,19 +178,25 @@ def test_gmres_can_stagnate():
     assert report.residual_trace[-1] == pytest.approx(report.residual_trace[0])
 
 
-def test_singular_hessenberg_runs_to_max_iter():
-    # A e1 = 0, so the first Arnoldi step ends on a zero column of H
+def test_singular_hessenberg_stops_at_the_restart_that_cannot_move():
+    # A e1 = 0, so the first Arnoldi step ends on a zero column of H and the
+    # Krylov space is invariant with y = 0: every restart would repeat the first one
     nilpotent = from_triplets(2, 2, [(0, 1, 1.0)])
-    report = gmres_restarted(nilpotent, [1.0, 0.0], k=2, cfg=SolverConfig(max_iter=20))
-    assert report.status is SolveStatus.MAX_ITERATIONS
+    report = gmres_restarted(nilpotent, [1.0, 0.0], k=2, cfg=SolverConfig(max_iter=10_000))
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic.startswith("restart 1:")
+    assert report.iterations == 1 and report.matvec_count == 2
     assert np.all(np.isfinite(report.x))
-    assert report.residual_trace[-1] == pytest.approx(1.0)
+    assert report.residual_trace.tolist() == [1.0, 1.0]
 
-    # b is not in the range of diag(1, 0): the iterate settles on the least-squares solution
+    # b is not in the range of diag(1, 0): the iterate settles on the least-squares
+    # solution, and the restart after that cannot move it
     singular = from_triplets(2, 2, [(0, 0, 1.0)])
     report = minres_solve(singular, [1.0, 1.0], k=2, cfg=SolverConfig(max_iter=20))
-    assert report.status is SolveStatus.MAX_ITERATIONS
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic.startswith("restart 2:")
     assert np.allclose(report.x, [1.0, 0.0], atol=1e-12)
+    assert report.residual_trace.size == 3
     assert report.residual_trace[-1] == pytest.approx(1.0)
 
 

@@ -22,6 +22,7 @@ from nnasolve import (
     from_triplets,
     gen_dense_uniform,
     gen_sparse_random,
+    general_solve,
     kl_divergence,
     l2_bridge,
     nna_solve,
@@ -349,14 +350,14 @@ def _sparse_capped_case():
 )
 def test_solve_loop_matches_plain_kernels(case, expected):
     # the fused loop (one ratio per iteration for divergence, check and update)
-    # against the same stopping rules around nna_step and kl_divergence
+    # against the same stopping rules around nna_step and kl_divergence, bit for bit
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
     status, iterations, res, kls = reference_solve(A, b, cfg)
     assert report.status is status is expected
     assert report.iterations == iterations
-    np.testing.assert_allclose(report.residual_trace, res, rtol=1e-12)
-    np.testing.assert_allclose(report.kl_trace, kls, rtol=1e-12)
+    np.testing.assert_array_equal(report.residual_trace, res)
+    np.testing.assert_array_equal(report.kl_trace, kls)
 
 
 def test_solve_path_imports_no_scipy():
@@ -591,3 +592,43 @@ def test_rate_certificate_errors():
         rate_certificate(sparse_of([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0])
     with pytest.raises(TooLargeForDense):
         rate_certificate(identity(10), np.ones(10), dense_limit=5)
+
+
+def _counting_kernels(monkeypatch):
+    # every product the solve loop makes must go through these module-level
+    # names, the ones a tracer patches to see the loop's kernel calls
+    calls = []
+    for name in ("spmv", "spmv_transpose"):
+        kernel = getattr(nnasolve.nna, name)
+
+        def counted(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        monkeypatch.setattr(nnasolve.nna, name, counted)
+    return calls
+
+
+def test_loop_products_go_through_traced_kernel_names(monkeypatch):
+    calls = _counting_kernels(monkeypatch)
+    inst = gen_dense_uniform(10, 0)
+    report = nna_solve(inst.A, inst.b, cfg=SolverConfig(t_shift=10.0, max_iter=3000))
+    assert report.status is SolveStatus.MAX_ITERATIONS
+    # every counted product plus shift's row-sum product A @ 1
+    assert len(calls) == report.matvec_count + 1 == 6003
+
+
+def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
+    calls = _counting_kernels(monkeypatch)
+    rng = np.random.default_rng(5)
+    dense = rng.uniform(-1.0, 1.0, (6, 6))
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+    b = dense @ rng.uniform(0.5, 1.5, 6)
+    report = general_solve(sparse_of(dense), b, cfg=SolverConfig(eps_tol=1e-9, max_iter=50_000))
+    assert report.status is SolveStatus.CONVERGED
+    n = report.iterations
+    assert n == 403 and report.matvec_count == 2 * n + 2
+    # the counted products with P, shift's row sum, and one uncounted tie-block
+    # product per tracked residual (n + 1) and per recomputed residual (1)
+    assert calls.count("spmv_transpose") == n
+    assert len(calls) == report.matvec_count + 1 + (n + 2) == 1214
