@@ -58,6 +58,8 @@ _MAX_AUTO_RETRIES = 6
 # stagnation: the relative KL drop stays below this for this many iterations
 _STAGNATION_REL_DELTA = 1e-12
 _STAGNATION_WINDOW = 50
+# the solve loop's block of ratio rows holds at most this many entries (32 KB)
+_BLOCK_ENTRIES = 4096
 
 
 class SolveStatus(enum.Enum):
@@ -107,7 +109,9 @@ class SolveReport:
     value.  general_solve maps each tracked residual to the original system
     through the tie block of P, a product with A's negative entries only
     (13.7% of nnz(P) on the benchmark's mixed-mtx instance), which is not
-    counted.
+    counted.  t_shift is the positivity shift of the kept attempt and
+    attempts the number of shifts tried (1 + auto-shift retries); solvers
+    that do not shift leave them None and 0.
     """
 
     status: SolveStatus
@@ -118,6 +122,8 @@ class SolveReport:
     elapsed_ns: int
     matvec_count: int = 0
     diagnostic: str | None = None
+    t_shift: float | None = None
+    attempts: int = 0
 
 
 @dataclass
@@ -234,17 +240,11 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
     return ShiftedSystem(t_val, b + t_val * row_sums, row_sums)
 
 
-def _ratio_with_convention(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """b_i / (Mx)_i with 0/0 = 0; a positive numerator over zero is a breakdown."""
-    zero = den == 0.0
-    if np.any(zero):
-        hot = np.flatnonzero(zero & (num > 0.0))
-        if hot.size:
-            raise ZeroDenominator(int(hot[0]))
-        out = np.zeros_like(num)
-        nz = ~zero
-        out[nz] = num[nz] / den[nz]
-        return out
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den; a zero in den is a breakdown (rescale keeps num = b_tilde > 0)."""
+    zero = np.flatnonzero(den == 0.0)
+    if zero.size:
+        raise ZeroDenominator(int(zero[0]))
     return num / den
 
 
@@ -260,7 +260,7 @@ def nna_step(system: NonnegativeSystem, x_n: np.ndarray) -> np.ndarray:
     there.  Costs at most 4 * (nnz + m) flops.
     """
     b_n = spmv(system.a_tilde, x_n)
-    return _update(system, x_n, _ratio_with_convention(system.b_tilde, b_n))
+    return _update(system, x_n, _ratio(system.b_tilde, b_n))
 
 
 def nna_step_counted(system: NonnegativeSystem, x_n: np.ndarray) -> tuple[np.ndarray, int]:
@@ -284,12 +284,9 @@ def nna_step_counted(system: NonnegativeSystem, x_n: np.ndarray) -> tuple[np.nda
     c = [0.0] * m1
     for i in range(m1):
         if b_n[i] == 0.0:
-            if bt[i] > 0.0:
-                raise ZeroDenominator(i)
-            c[i] = 0.0
-        else:
-            c[i] = bt[i] / b_n[i]
-            flops += 1
+            raise ZeroDenominator(i)
+        c[i] = bt[i] / b_n[i]
+        flops += 1
     x_next = [0.0] * m2
     for j in range(m2):
         s = 0.0
@@ -313,6 +310,71 @@ def _breakdown(exc: Exception, b: np.ndarray, started: int) -> SolveReport:
     )
 
 
+class _Monitor:
+    """The stopping rules, the recheck gate and the traces of one run.
+
+    The map hands it blocks of rows, one row per iterate: the tracked
+    residual, the ratio c = q / (M x_tilde) and the product M x_tilde.  A
+    block ends at the first row whose residual reaches the gate, or after
+    width() rows; under that bound stagnation and max_iter can only fire on
+    a block's last row.  So the rules, applied to a block in row order, stop
+    the run on the row a row-by-row check would, and no product is computed
+    past it.  residual_of(x_tilde) is the residual of the x that x_tilde
+    returns, recomputed from A and b with one product.
+    """
+
+    def __init__(self, q, eps, max_iter, residual_of):
+        self.q, self.eps, self.max_iter, self.residual_of = q, eps, max_iter, residual_of
+        self.gate = eps
+        self.streak = 0
+        self.prev_kl = None
+        self.exact_products = 0
+        self.res_trace: list[float] = []
+        self.kl_trace: list[float] = []
+
+    def width(self, n: int, cap: int) -> int:
+        """Rows the block whose first row is iterate n may hold, at most cap."""
+        return min(_STAGNATION_WINDOW - self.streak, self.max_iter - n + 1, cap)
+
+    def recheck(self, x_tilde) -> float:
+        self.exact_products += 1
+        return self.residual_of(x_tilde)
+
+    def close(self, ratios, products, residuals, n, x_tilde):
+        """Apply the rules to a block whose last row is iterate n at x_tilde.
+
+        Returns the status that ends the run there, or None to go on.
+        """
+        q = self.q
+        kls = np.add.reduce(q * np.log(ratios), axis=1).tolist()
+        if not math.isfinite(sum(kls)):
+            # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes a
+            # row's divergence non-finite; the typed checks name the defect
+            for i, kl in enumerate(kls):
+                if not math.isfinite(kl):
+                    _ratio(q, products[i])
+                    kls[i] = metrics.kl_divergence(q, products[i])
+        self.res_trace += residuals
+        self.kl_trace += kls
+        if residuals[-1] <= self.gate:
+            exact = self.res_trace[-1] = self.recheck(x_tilde)
+            if exact <= self.eps:
+                return SolveStatus.CONVERGED
+            self.gate = residuals[-1] * self.eps / exact
+        streak, prev_kl = self.streak, self.prev_kl
+        for kl in kls:
+            if prev_kl is not None:
+                drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
+                streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
+            prev_kl = kl
+        self.streak, self.prev_kl = streak, prev_kl
+        if streak >= _STAGNATION_WINDOW:
+            return SolveStatus.STAGNATED_MIN_KL
+        if n >= self.max_iter:
+            return SolveStatus.MAX_ITERATIONS
+        return None
+
+
 # a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
@@ -330,13 +392,17 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     goes on.  On any exit the last trace entry is the recomputed residual of
     the returned x.
 
-    One ratio c = q / (M x_tilde) per iteration feeds the divergence, the
-    breakdown check and the update.  Each iteration is spelled in numpy
-    primitives, but its arithmetic matches nna_step and kl_divergence bit
-    for bit: sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector,
-    and np.add.reduce what np.sum computes.  As q > 0, any zero, negative or
-    non-finite (M x_tilde)_i makes the divergence non-finite; only then do
-    the typed checks of _ratio_with_convention and kl_divergence run.
+    The loop is the map plus a _Monitor.  The map does, per row, the product
+    M x_tilde, the tracked residual and its gate test, the ratio c = q / (M
+    x_tilde) written into a row of a preallocated block, and the update
+    through _update, which nna_step shares.  The monitor takes the block: one
+    reduction gives every row's divergence sum q log c, and the typed checks
+    of _ratio and kl_divergence run only on a row whose divergence is not
+    finite.  A block holds at most _BLOCK_ENTRIES ratio entries, so it stays
+    in cache; at m = 10 the stagnation window (50 rows) bounds it first.
+    The arithmetic matches nna_step and kl_divergence bit for bit:
+    sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector, and
+    each row of the block reduction is what np.sum computes on that row.
     """
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
@@ -351,65 +417,53 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     def original(r):
         return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
 
-    def exact_residual(x):
-        return float(np.linalg.norm(original(spmv(A, x) - b)))
+    def residual_of(x_tilde):
+        return float(np.linalg.norm(original(spmv(A, system.recover(x_tilde) - t) - b)))
 
-    # looked up once: the loop body is a handful of numpy calls, so each
+    monitor = _Monitor(q, eps, cfg.max_iter, residual_of)
+    cap = max(1, _BLOCK_ENTRIES // max(1, q.size))
+    block = np.empty((min(cap, _STAGNATION_WINDOW, cfg.max_iter + 1), q.size))
+    rows = list(block)  # views, made once
+    # looked up once: the row body is a handful of numpy calls, so each
     # attribute or global lookup it saves is a measurable share of it
-    a_tilde, b_total, max_iter = system.a_tilde, system.b_total, cfg.max_iter
-    sqrt, isfinite, log, add_reduce = math.sqrt, math.isfinite, np.log, np.add.reduce
-    res_trace: list[float] = []
-    kl_trace: list[float] = []
-    matvecs = 0
-    streak = 0
-    prev_kl = None
-    gate = eps
+    a_tilde, b_total = system.a_tilde, system.b_total
+    sqrt, divide = math.sqrt, np.divide
     n = 0
     while True:
-        b_n = spmv(a_tilde, xt)
-        matvecs += 1
-        d = b_n - q if tie is None else original(b_n - q)
-        resid = b_total * sqrt(d.dot(d))
-        c_n = q / b_n
-        kl = float(add_reduce(q * log(c_n)))
-        if not isfinite(kl):
-            c_n, kl = _ratio_with_convention(q, b_n), metrics.kl_divergence(q, b_n)
-        res_trace.append(resid)
-        kl_trace.append(kl)
-        if resid <= gate:
-            exact = exact_residual(system.recover(xt) - t)
-            matvecs += 1
-            res_trace[-1] = exact
-            if exact <= eps:
-                status = SolveStatus.CONVERGED
+        width, gate = monitor.width(n, cap), monitor.gate
+        products: list[np.ndarray] = []
+        residuals: list[float] = []
+        k = 0
+        while True:
+            b_n = spmv(a_tilde, xt)
+            d = b_n - q if tie is None else original(b_n - q)
+            resid = b_total * sqrt(d.dot(d))
+            c_n = divide(q, b_n, rows[k])
+            products.append(b_n)
+            residuals.append(resid)
+            k += 1
+            if resid <= gate or k == width:
                 break
-            gate = resid * eps / exact
-        if prev_kl is not None:
-            drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
-            streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
-            if streak >= _STAGNATION_WINDOW:
-                status = SolveStatus.STAGNATED_MIN_KL
-                break
-        prev_kl = kl
-        if n >= max_iter:
-            status = SolveStatus.MAX_ITERATIONS
+            xt = _update(system, xt, c_n)
+            n += 1
+        status = monitor.close(block[:k], products, residuals, n, xt)
+        if status is not None:
             break
         xt = _update(system, xt, c_n)
-        matvecs += 1
         n += 1
 
-    x = system.recover(xt) - t
     if status is not SolveStatus.CONVERGED:
-        res_trace[-1] = exact_residual(x)
-        matvecs += 1
+        monitor.res_trace[-1] = monitor.recheck(xt)
     return SolveReport(
         status=status,
         iterations=n,
-        x=x,
-        residual_trace=np.asarray(res_trace),
-        kl_trace=np.asarray(kl_trace),
+        x=system.recover(xt) - t,
+        residual_trace=np.asarray(monitor.res_trace),
+        kl_trace=np.asarray(monitor.kl_trace),
         elapsed_ns=0,
-        matvec_count=matvecs,
+        # one product per iterate, one per update, and the recomputed residuals
+        matvec_count=2 * n + 1 + monitor.exact_products,
+        t_shift=t,
     )
 
 
@@ -470,7 +524,9 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
         attempt += 1
         t_next = 2.0 * shifted.t
         shifted = ShiftedSystem(t_next, b_arr + t_next * shifted.a_row_sums, shifted.a_row_sums)
-    return replace(best, elapsed_ns=time.perf_counter_ns() - started, matvec_count=matvecs)
+    return replace(
+        best, elapsed_ns=time.perf_counter_ns() - started, matvec_count=matvecs, attempts=attempt + 1
+    )
 
 
 def rate_certificate(A: SparseMatrix, x_star, dense_limit: int = 200) -> RateCertificate:

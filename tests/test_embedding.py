@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnasolve import (
     DimensionMismatch,
@@ -8,6 +10,7 @@ from nnasolve import (
     consistency_defect,
     embed,
     extract,
+    from_arrays,
     general_solve,
     nna_solve,
     shift,
@@ -23,6 +26,30 @@ def test_embed_nonnegative_passthrough():
     assert emb.J == 0
     assert emb.P is A
     assert np.array_equal(emb.c, b)
+
+
+@st.composite
+def signed_triplets(draw, max_m=8):
+    """(m1, m2, rows, cols, vals) with m1, m2 <= 8 and values in {-2, ..., 2};
+    repeated positions are summed by from_arrays, so some cancel to zero."""
+    m1, m2 = draw(st.integers(1, max_m)), draw(st.integers(1, max_m))
+    entry = st.tuples(st.integers(0, m1 - 1), st.integers(0, m2 - 1), st.integers(-2, 2))
+    entries = draw(st.lists(entry, max_size=2 * m1 * m2))
+    rows, cols, vals = (list(c) for c in zip(*entries)) if entries else ([], [], [])
+    return m1, m2, rows, cols, [float(v) for v in vals]
+
+
+@settings(max_examples=150, deadline=None)
+@given(triplets=signed_triplets())
+def test_embed_property_nnz(triplets):
+    m1, m2, rows, cols, vals = triplets
+    A = from_arrays(m1, m2, rows, cols, vals)
+    emb = embed(A, np.ones(m1))
+    dense = A.to_dense()
+    assert emb.J == int(np.any(dense < 0.0, axis=0).sum())
+    assert emb.P.nnz == A.nnz + 2 * emb.J
+    assert emb.P.shape == (m1 + emb.J, m2 + emb.J)
+    assert not np.any(emb.P.values < 0.0)
 
 
 def test_embed_three_by_three_tied_columns():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nnasolve
 from nnasolve import (
@@ -279,7 +281,10 @@ def test_solve_nonfinite_mid_iteration_is_breakdown():
 def reference_solve(A, b, cfg):
     """The solve loop's stopping rules around the plain kernels nna_step and kl_divergence.
 
-    Returns (status, iterations, residual_trace, kl_trace) for an explicit shift.
+    Returns (status, iterations, residual_trace, kl_trace, products, x) for an
+    explicit shift.  products counts what the loop counts: one product per
+    iterate, one per update (nna_step recomputes M x, which the loop reuses
+    from the iterate's row) and one per recomputed residual.
     """
     t = cfg.t_shift
     system = rescale(A, shift(A, b, t).b_shifted)
@@ -290,17 +295,19 @@ def reference_solve(A, b, cfg):
         return float(np.linalg.norm(spmv(A, system.recover(x_tilde) - t) - b))
 
     res, kls = [], []
-    gate, streak, prev_kl, n = cfg.eps_tol, 0, None, 0
+    gate, streak, prev_kl, n, products = cfg.eps_tol, 0, None, 0, 0
     while True:
         b_n = spmv(system.a_tilde, xt)
+        products += 1
         tracked = system.b_total * float(np.linalg.norm(b_n - q))
         res.append(tracked)
         kl = kl_divergence(q, b_n)
         kls.append(kl)
         if tracked <= gate:
             exact = res[-1] = exact_residual(xt)
+            products += 1
             if exact <= cfg.eps_tol:
-                return SolveStatus.CONVERGED, n, res, kls
+                return SolveStatus.CONVERGED, n, res, kls, products, system.recover(xt) - t
             gate = tracked * cfg.eps_tol / exact
         if prev_kl is not None:
             drop = (prev_kl - kl) / max(prev_kl, 1e-300)
@@ -313,9 +320,11 @@ def reference_solve(A, b, cfg):
             status = SolveStatus.MAX_ITERATIONS
             break
         xt = nna_step(system, xt)
+        products += 1
         n += 1
     res[-1] = exact_residual(xt)
-    return status, n, res, kls
+    products += 1
+    return status, n, res, kls, products, system.recover(xt) - t
 
 
 def _dense_shifted_case():
@@ -328,6 +337,8 @@ def _dense_shifted_case():
 
 
 def _inconsistent_case():
+    # the final stagnation streak starts on iterate 2,059, inside a block
+    # (see test_stagnation_streak_starts_inside_a_block)
     rng = np.random.default_rng(6)
     return sparse_of(rng.uniform(0.2, 1.0, (3, 2))), rng.uniform(0.5, 1.5, 3), SolverConfig(
         eps_tol=1e-12, t_shift=0.0, max_iter=200_000
@@ -339,25 +350,65 @@ def _sparse_capped_case():
     return inst.A, inst.b, SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=500)
 
 
+def _dense_odd_cap_case():
+    # 1,238 rows: not a whole number of 50-row blocks
+    inst = gen_dense_uniform(10, 0)
+    return inst.A, inst.b, SolverConfig(eps_tol=1e-300, t_shift=10.0, max_iter=1237)
+
+
+def _wide_case():
+    # m = 300 rows: a block holds 4096 // 300 = 13 rows, fewer than the window
+    inst = gen_sparse_random(300, 1500, 100.0, 1)
+    return inst.A, inst.b, SolverConfig(eps_tol=1e-6 * float(np.linalg.norm(inst.b)), t_shift=0.0)
+
+
 @pytest.mark.parametrize(
     "case, expected",
     [
         (_dense_shifted_case, SolveStatus.CONVERGED),
         (_inconsistent_case, SolveStatus.STAGNATED_MIN_KL),
         (_sparse_capped_case, SolveStatus.MAX_ITERATIONS),
+        (_dense_odd_cap_case, SolveStatus.MAX_ITERATIONS),
+        (_wide_case, SolveStatus.CONVERGED),
     ],
-    ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter"],
+    ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter", "dense-odd-max-iter", "wide-converged"],
 )
 def test_solve_loop_matches_plain_kernels(case, expected):
-    # the fused loop (one ratio per iteration for divergence, check and update)
-    # against the same stopping rules around nna_step and kl_divergence, bit for bit
+    # the block loop (one ratio per row for divergence, check and update; the
+    # divergences and stopping rules once per block) against the same stopping
+    # rules around nna_step and kl_divergence, bit for bit
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
-    status, iterations, res, kls = reference_solve(A, b, cfg)
+    status, iterations, res, kls, products, x = reference_solve(A, b, cfg)
     assert report.status is status is expected
     assert report.iterations == iterations
     np.testing.assert_array_equal(report.residual_trace, res)
     np.testing.assert_array_equal(report.kl_trace, kls)
+    assert report.matvec_count == products
+    np.testing.assert_array_equal(report.x, x)
+
+
+def test_stagnation_streak_starts_inside_a_block(monkeypatch):
+    # the inconsistent case above must keep exercising a streak that starts
+    # inside a block, so that the next block's width is cut to the rest of
+    # the window; the block ends are read off the monitor
+    ends = []
+    close = nnasolve.nna._Monitor.close
+
+    def spy(self, ratios, products, residuals, n, x_tilde):
+        ends.append(n)
+        return close(self, ratios, products, residuals, n, x_tilde)
+
+    monkeypatch.setattr(nnasolve.nna._Monitor, "close", spy)
+    A, b, cfg = _inconsistent_case()
+    report = nna_solve(A, b, cfg=cfg)
+    kls = report.kl_trace
+    drops = (kls[:-1] - kls[1:]) / np.maximum(kls[:-1], 1e-300)
+    start = int(np.flatnonzero(~(drops < _STAGNATION_REL_DELTA))[-1]) + 2
+    assert report.iterations - start + 1 == _STAGNATION_WINDOW
+    assert start == 2059
+    assert start not in {0} | {n + 1 for n in ends}
+    assert ends[-1] == report.iterations
 
 
 def test_solve_path_imports_no_scipy():
@@ -414,6 +465,9 @@ def test_solve_auto_shift_retries_count_every_attempt():
     recomputed = float(np.linalg.norm(A.to_dense() @ report.x - b))
     assert recomputed <= default_tolerance(b)
     assert report.matvec_count == 88_468
+    # the report names the kept attempt's shift and counts every attempt
+    assert report.t_shift == pytest.approx(5.069, rel=1e-3)
+    assert report.attempts == 5
 
 
 def test_solve_converged_means_returned_x_meets_tolerance():
@@ -549,6 +603,52 @@ def test_l2_certificate_pointwise():
         x = nna_step(system, x)
 
 
+@st.composite
+def positive_systems(draw, max_m=8):
+    """(A, b): nonnegative m1 x m2 A (m1, m2 <= 8) whose every row and column
+    holds an entry >= 0.1, and b with entries in [0.1, 1].
+
+    Then q >= 0.0125 and, as M is column-stochastic and x on the simplex,
+    each update scales x_j by at least 0.0125, so 100 updates from the start
+    cannot underflow (0.0125^100 ~ 1e-190).
+    """
+    m1, m2 = draw(st.integers(1, max_m)), draw(st.integers(1, max_m))
+    unit = st.floats(0.0, 1.0, allow_subnormal=True)
+    dense = np.array(draw(st.lists(unit, min_size=m1 * m2, max_size=m1 * m2))).reshape(m1, m2)
+    k = np.arange(max(m1, m2))
+    dense[k % m1, k % m2] += 0.1
+    b = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m1, max_size=m1)))
+    return sparse_of(dense), b
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=positive_systems(), steps=st.integers(1, 100))
+def test_step_property_positive_on_simplex(system, steps):
+    A, b = system
+    rescaled = rescale(A, b)
+    x = tilde_start(A)
+    for _ in range(steps):
+        x = nna_step(rescaled, x)
+        assert np.all(x > 0.0)
+        # the update maps any positive x onto the simplex, so rounding does
+        # not accumulate from step to step
+        assert abs(x.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=positive_systems(), max_iter=st.integers(0, 100))
+def test_solve_property_divergence_never_rises(system, max_iter):
+    A, b = system
+    report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=max_iter))
+    assert report.status is not SolveStatus.BREAKDOWN
+    assert report.kl_trace.size == report.iterations + 1
+    # from iterate 1 on, every iterate is on the simplex; iterate 0 is the
+    # start as given, whose M x0 need not sum to one, so its entry is no
+    # divergence between distributions and may even be negative
+    kls = report.kl_trace[1:]
+    assert np.all(kls[1:] <= kls[:-1] + 1e-12 * (1.0 + np.abs(kls[:-1])))
+
+
 # ---------------------------------------------------------------------------
 # rate certificate
 
@@ -632,3 +732,18 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
     # product per tracked residual (n + 1) and per recomputed residual (1)
     assert calls.count("spmv_transpose") == n
     assert len(calls) == report.matvec_count + 1 + (n + 2) == 1214
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [(_inconsistent_case, SolveStatus.STAGNATED_MIN_KL), (_dense_shifted_case, SolveStatus.CONVERGED)],
+    ids=["stagnated", "converged"],
+)
+def test_no_product_past_the_stop(monkeypatch, case, expected):
+    # the block loop computes no product beyond the row where the run stops:
+    # every kernel call is a counted product, bar shift's row sum A @ 1
+    calls = _counting_kernels(monkeypatch)
+    A, b, cfg = case()
+    report = nna_solve(A, b, cfg=cfg)
+    assert report.status is expected
+    assert len(calls) == report.matvec_count + 1
