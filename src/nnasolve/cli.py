@@ -109,6 +109,13 @@ def _run_one(solver: str, A, b, cfg: SolverConfig, k: int, t: float | None):
     raise ValueError(solver)
 
 
+def _shift_columns(report, t_format: str) -> tuple[str, str]:
+    """The shift the report kept and its attempts, empty for solvers that do not shift."""
+    if report.t_shift is None:
+        return "", ""
+    return t_format.format(report.t_shift), str(report.attempts)
+
+
 def cmd_solve(args) -> int:
     if (args.matrix is None) == (args.gen is None):
         print("error: exactly one of --matrix or --gen is required", file=sys.stderr)
@@ -160,26 +167,32 @@ def cmd_solve(args) -> int:
 
     print(f"instance: {source}")
     print(f"size: {A.nrows} x {A.ncols}, nnz {A.nnz}")
-    header = f"{'solver':<16} {'status':<18} {'iters':>8} {'final_residual':>15} {'wall_s':>9} {'matvecs':>10}"
+    header = (
+        f"{'solver':<16} {'status':<18} {'iters':>8} {'final_residual':>15} {'wall_s':>9} {'matvecs':>10}"
+        f" {'t':>10} {'attempts':>8}"
+    )
     print(header)
     print("-" * len(header))
     for label, report in runs:
         final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
+        t_txt, attempts_txt = _shift_columns(report, "{:.4g}")
         print(
             f"{label:<16} {report.status.value:<18} {report.iterations:>8d} "
-            f"{final:>15.6e} {report.elapsed_ns / 1e9:>9.3f} {report.matvec_count:>10d}"
+            f"{final:>15.6e} {report.elapsed_ns / 1e9:>9.3f} {report.matvec_count:>10d} "
+            f"{t_txt:>10} {attempts_txt:>8}"
         )
         if report.diagnostic:
             print(f"    note: {report.diagnostic}")
 
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="") as fh:
-            fh.write("solver,status,iterations,final_residual,wall_s,matvecs\n")
+            fh.write("solver,status,iterations,final_residual,wall_s,matvecs,t,attempts\n")
             for label, report in runs:
                 final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
+                t_txt, attempts_txt = _shift_columns(report, "{:.17g}")
                 fh.write(
                     f"{label},{report.status.value},{report.iterations},"
-                    f"{final:.17g},{report.elapsed_ns / 1e9:.6f},{report.matvec_count}\n"
+                    f"{final:.17g},{report.elapsed_ns / 1e9:.6f},{report.matvec_count},{t_txt},{attempts_txt}\n"
                 )
 
     return 0 if all(r.status in _OK_STATUSES for _, r in runs) else 1

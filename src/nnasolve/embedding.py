@@ -64,10 +64,14 @@ def embed(A: SparseMatrix, b) -> EmbeddedSystem:
 
     slack = np.searchsorted(neg_cols, cols[neg])  # dense index of each negative's column
     arange_j = np.arange(J, dtype=np.int64)
-    p_rows = np.concatenate([rows[~neg], rows[neg], m1 + arange_j, m1 + arange_j])
     p_cols = np.concatenate([cols[~neg], m2 + slack, neg_cols, m2 + arange_j])
-    p_vals = np.concatenate([vals[~neg], -vals[neg], np.ones(J), np.ones(J)])
-    P = from_arrays(m1 + J, m2 + J, p_rows, p_cols, p_vals)
+    # each run is column-major and, within any column, a run with larger rows
+    # comes later, so a stable sort by column alone is P's canonical order,
+    # and from_arrays does not sort again
+    order = np.argsort(p_cols, kind="stable")
+    p_rows = np.concatenate([rows[~neg], rows[neg], m1 + arange_j, m1 + arange_j])[order]
+    p_vals = np.concatenate([vals[~neg], -vals[neg], np.ones(J), np.ones(J)])[order]
+    P = from_arrays(m1 + J, m2 + J, p_rows, p_cols[order], p_vals)
     tie = from_arrays(m1, J, rows[neg], slack, -vals[neg])
     c = np.concatenate([b, np.zeros(J)])
     return EmbeddedSystem(P=P, c=c, neg_cols=neg_cols, J=J, m1=m1, m2=m2, tie=tie)

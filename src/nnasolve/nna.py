@@ -362,7 +362,9 @@ class _Monitor:
                 return SolveStatus.CONVERGED
             self.gate = residuals[-1] * self.eps / exact
         streak, prev_kl = self.streak, self.prev_kl
-        for kl in kls:
+        # iterate 0 is the start as given, off the simplex, so its entry is
+        # no divergence between distributions: the streak starts at iterate 1
+        for kl in kls[1:] if len(kls) == n + 1 else kls:
             if prev_kl is not None:
                 drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
                 streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0

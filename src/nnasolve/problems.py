@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -148,7 +148,11 @@ def gen_sparse_random(m: int, offdiag_nnz: int, diag_hi: float, seed: int) -> Pr
 # Matrix Market (coordinate real general/symmetric)
 
 _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
-_CHUNK_LINES = 4096  # lines per block read or written: memory stays bounded however long the file
+# characters per block of whole lines read: memory stays bounded however long
+# the file, and a block is long enough that one loadtxt call's fixed cost is
+# small against its lines (~8k lines of a 30-character entry)
+_READ_BLOCK_CHARS = 1 << 18
+_CHUNK_LINES = 4096  # rows per block written by write_trace
 
 
 def _holds_entry(line: str) -> bool:
@@ -182,9 +186,35 @@ def _parse_until_error(lines: list[str]) -> tuple[np.ndarray, int | None]:
         raise
 
 
-def _entry_line(chunk: list[str], before: int, k: int) -> int:
-    """File line number of the k-th entry line of a chunk read after line `before`."""
-    positions = list(compress(range(len(chunk)), map(_holds_entry, chunk)))
+def _parse_block(block: list[str], room: int) -> tuple[np.ndarray, int | None]:
+    """Parse a block of whole lines holding room more entries at most.
+
+    Returns the entries of its entry lines up to the first that is malformed
+    or beyond room, and that line's index among the entry lines (None when
+    there is none).  A block with no % and at least one non-blank line goes
+    to the parser as it is, since loadtxt skips blank lines itself; any other
+    block (loadtxt warns on one without entries), and one the parser rejects
+    or that holds more than room entries, is parsed line by line.
+    """
+    text = "".join(block)
+    if "%" not in text and not text.isspace():
+        try:
+            entries = _parse_entries(block)
+        except ValueError:
+            pass
+        else:
+            if entries.size <= room:
+                return entries, None
+    kept = list(compress(block, map(_holds_entry, block)))
+    entries, bad = _parse_until_error(kept[:room])
+    if bad is None and len(kept) > room:
+        bad = room
+    return entries, bad
+
+
+def _entry_line(block: list[str], before: int, k: int) -> int:
+    """File line number of the k-th entry line of a block read after line `before`."""
+    positions = list(compress(range(len(block)), map(_holds_entry, block)))
     return before + 1 + positions[k]
 
 
@@ -193,9 +223,10 @@ def read_matrix_market(path) -> SparseMatrix:
 
     Symmetric files are expanded to full storage by mirroring off-diagonal
     entries; 1-based indices are converted; % comment lines are skipped.
-    The entries are read in blocks of lines and parsed by numpy, so indices
-    are plain decimal integers (no ``_`` digit separators).  Errors name the
-    file line they come from.
+    The entries are read in blocks of whole lines, each parsed by one
+    np.loadtxt call unless it holds a comment or an error (_parse_block), so
+    indices are plain decimal integers (no ``_`` digit separators).  Errors
+    name the file line they come from.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -237,30 +268,30 @@ def read_matrix_market(path) -> SparseMatrix:
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.float64)
         got = 0
-        while chunk := list(islice(fh, _CHUNK_LINES)):
-            kept = list(compress(chunk, map(_holds_entry, chunk)))
+        while block := fh.readlines(_READ_BLOCK_CHARS):
             room = nnz - got
-            entries, bad = _parse_until_error(kept[:room])
+            entries, bad = _parse_block(block, room)
             i, j, v = entries["i"], entries["j"], entries["v"]
             out_of_range = (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
             offenders = np.flatnonzero(out_of_range | ~np.isfinite(v))
             if offenders.size:
                 k = int(offenders[0])
-                where = _entry_line(chunk, lineno, k)
+                where = _entry_line(block, lineno, k)
                 if out_of_range[k]:
                     raise IndexOutOfRange(f"line {where}: entry ({i[k]}, {j[k]}) outside {nrows}x{ncols}")
-                raise NonFiniteValue(f"line {where}: non-finite value {kept[k].split()[2]!r}")
+                raise NonFiniteValue(f"line {where}: non-finite value {block[where - lineno - 1].split()[2]!r}")
             if bad is not None:
-                detail = f"malformed entry {kept[bad].strip()!r}, expected 'row col value'"
-                raise ParseError(_entry_line(chunk, lineno, bad), detail)
-            if len(kept) > room:
-                raise ParseError(_entry_line(chunk, lineno, room), "more entries than declared in the size line")
+                where = _entry_line(block, lineno, bad)
+                if bad == room:
+                    raise ParseError(where, "more entries than declared in the size line")
+                detail = f"malformed entry {block[where - lineno - 1].strip()!r}, expected 'row col value'"
+                raise ParseError(where, detail)
             end = got + entries.size
             np.subtract(i, 1, out=rows[got:end])
             np.subtract(j, 1, out=cols[got:end])
             vals[got:end] = v
             got = end
-            lineno += len(chunk)
+            lineno += len(block)
         if got != nnz:
             raise ParseError(lineno, f"declared {nnz} entries but found {got}")
 

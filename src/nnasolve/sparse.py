@@ -121,7 +121,10 @@ def from_arrays(nrows, ncols, rows, cols, values) -> SparseMatrix:
     """Build a matrix from parallel coordinate arrays.
 
     Duplicate positions are summed; entries whose sum is exactly zero are
-    dropped, so ``nnz`` counts true stored nonzeros.
+    dropped, so ``nnz`` counts true stored nonzeros.  Input already in
+    column-major order without duplicates (the order ``triplets`` returns and
+    Matrix Market collections store) skips the sort.  The result never shares
+    memory with the inputs.
     """
     nrows, ncols = int(nrows), int(ncols)
     if nrows < 0 or ncols < 0:
@@ -141,13 +144,19 @@ def from_arrays(nrows, ncols, rows, cols, values) -> SparseMatrix:
 
     if vals.size:
         key = cols * np.int64(nrows) + rows
-        uniq, inverse = np.unique(key, return_inverse=True)
-        summed = np.bincount(inverse, weights=vals, minlength=uniq.size)
-        keep = summed != 0.0
-        key = uniq[keep]
-        vals = summed[keep]
-        rows = key % nrows
-        cols = key // nrows
+        if np.all(key[1:] > key[:-1]):
+            # canonical: what the sort below would give, as 0.0 + v is v; the
+            # boolean index copies, so nothing aliases the caller's arrays
+            keep = vals != 0.0
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        else:
+            uniq, inverse = np.unique(key, return_inverse=True)
+            summed = np.bincount(inverse, weights=vals, minlength=uniq.size)
+            keep = summed != 0.0
+            key = uniq[keep]
+            vals = summed[keep]
+            rows = key % nrows
+            cols = key // nrows
     col_counts = np.bincount(cols, minlength=ncols) if vals.size else np.zeros(ncols, dtype=np.int64)
     col_ptr = np.zeros(ncols + 1, dtype=np.int64)
     np.cumsum(col_counts, out=col_ptr[1:])

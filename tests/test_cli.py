@@ -211,9 +211,34 @@ def test_summary_csv(tmp_path):
     )
     assert code == 0
     lines = summary.read_text().strip().splitlines()
-    assert lines[0] == "solver,status,iterations,final_residual,wall_s,matvecs"
+    assert lines[0] == "solver,status,iterations,final_residual,wall_s,matvecs,t,attempts"
     assert len(lines) == 2
-    assert int(lines[1].split(",")[-1]) > int(lines[1].split(",")[2])  # NNA makes two products per iteration
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert int(row["matvecs"]) > int(row["iterations"])  # NNA makes two products per iteration
+
+
+def test_summary_reports_the_shift_and_attempts(tmp_path, capsys):
+    # t and attempts come from the report; solvers that do not shift leave them empty
+    summary = tmp_path / "summary.csv"
+    code = run(
+        [
+            "solve",
+            "--gen", "sparse-random:m=10,offdiag=20,diag-hi=30",
+            "--solver", "nna,general,gmres",
+            "--k", "5",
+            "--t", "2.5",
+            "--summary-csv", str(summary),
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    lines = summary.read_text().strip().splitlines()
+    rows = {r["solver"]: r for r in (dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:])}
+    assert (rows["nna_t2.5"]["t"], rows["nna_t2.5"]["attempts"]) == ("2.5", "1")
+    assert (rows["general_t2.5"]["t"], rows["general_t2.5"]["attempts"]) == ("2.5", "1")
+    assert (rows["gmres"]["t"], rows["gmres"]["attempts"]) == ("", "")
+    out = capsys.readouterr().out
+    assert out.splitlines()[2].split()[-2:] == ["t", "attempts"]
 
 
 def test_check_identity(tmp_path, capsys):

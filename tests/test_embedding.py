@@ -50,6 +50,20 @@ def test_embed_property_nnz(triplets):
     assert emb.P.nnz == A.nnz + 2 * emb.J
     assert emb.P.shape == (m1 + emb.J, m2 + emb.J)
     assert not np.any(emb.P.values < 0.0)
+    # the four runs of P, concatenated unsorted, as the module docstring lays them out
+    rows, cols, vals = A.triplets()
+    neg = vals < 0.0
+    slack = np.searchsorted(emb.neg_cols, cols[neg])
+    tied = np.arange(emb.J)
+    reference = from_arrays(
+        m1 + emb.J,
+        m2 + emb.J,
+        np.concatenate([rows[~neg], rows[neg], m1 + tied, m1 + tied]),
+        np.concatenate([cols[~neg], m2 + slack, emb.neg_cols, m2 + tied]),
+        np.concatenate([vals[~neg], -vals[neg], np.ones(emb.J), np.ones(emb.J)]),
+    )
+    for name in ("col_ptr", "row_idx", "values"):
+        assert getattr(emb.P, name).tobytes() == getattr(reference, name).tobytes()
 
 
 def test_embed_three_by_three_tied_columns():

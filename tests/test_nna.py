@@ -309,7 +309,7 @@ def reference_solve(A, b, cfg):
             if exact <= cfg.eps_tol:
                 return SolveStatus.CONVERGED, n, res, kls, products, system.recover(xt) - t
             gate = tracked * cfg.eps_tol / exact
-        if prev_kl is not None:
+        if n >= 2:  # iterate 0 is off the simplex: compare iterates from 1 on
             drop = (prev_kl - kl) / max(prev_kl, 1e-300)
             streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
             if streak >= _STAGNATION_WINDOW:
@@ -409,6 +409,24 @@ def test_stagnation_streak_starts_inside_a_block(monkeypatch):
     assert start == 2059
     assert start not in {0} | {n + 1 for n in ends}
     assert ends[-1] == report.iterations
+
+
+def test_stagnation_streak_skips_the_start_off_the_simplex(monkeypatch):
+    # iterate 0 is the start as given, off the simplex, so its kl_trace entry
+    # can be negative; the rise from it to iterate 1 is no stalled step
+    streaks = []
+    close = nnasolve.nna._Monitor.close
+
+    def spy(self, *args):
+        status = close(self, *args)
+        streaks.append(self.streak)
+        return status
+
+    monkeypatch.setattr(nnasolve.nna._Monitor, "close", spy)
+    A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 1.0), (0, 1, 1.0)])
+    report = nna_solve(A, [1.0, 1.0], cfg=SolverConfig(t_shift=0.0, max_iter=1))
+    assert report.kl_trace[0] < 0.0 < report.kl_trace[1]
+    assert streaks == [0]
 
 
 def test_solve_path_imports_no_scipy():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nnasolve import problems
 from nnasolve import (
     IndexOutOfRange,
     NonFiniteValue,
@@ -330,6 +331,98 @@ def test_matrix_market_round_trip_property(tmp_path_factory, A, fillers, crlf):
     assert np.array_equal(back.col_ptr, A.col_ptr)
     assert np.array_equal(back.row_idx, A.row_idx)
     assert back.values.tobytes() == A.values.tobytes()
+
+
+# Reading block by block.  With the block size cut to 23 characters, every
+# block below is three 8-character lines, so small files cross several block
+# boundaries.  A block without comments is parsed in one loadtxt call; a block
+# with a comment or without entries, or one that call rejects, goes line by
+# line through _parse_until_error.
+
+_ENTRY_8 = "{} {} {}.0\n"  # 8 characters for one-digit fields
+_BLANK_8 = "       \n"
+_COMMENT_8 = "% note \n"
+
+
+def write_lines(path, body, declared=None):
+    """3 x 3 general file; declares as many entries as body holds unless told otherwise."""
+    entries = sum(1 for line in body if line not in (_BLANK_8, _COMMENT_8))
+    head = f"%%MatrixMarket matrix coordinate real general\n3 3 {entries if declared is None else declared}\n"
+    path.write_text(head + "".join(body))
+    return path
+
+
+def entry_lines(n):
+    """n <= 9 entry lines at distinct positions of a 3 x 3 matrix."""
+    return [_ENTRY_8.format(k % 3 + 1, k // 3 % 3 + 1, k % 9 + 1) for k in range(n)]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Three 8-character lines per block; counts the blocks parsed line by line."""
+    monkeypatch.setattr(problems, "_READ_BLOCK_CHARS", 23)
+    slow = []
+    line_by_line = problems._parse_until_error
+
+    def spy(lines):
+        slow.append(list(lines))
+        return line_by_line(lines)
+
+    monkeypatch.setattr(problems, "_parse_until_error", spy)
+    return slow
+
+
+def test_read_comment_in_the_middle_block_of_three(tmp_path, small_blocks):
+    body = entry_lines(8)
+    body.insert(4, _COMMENT_8)  # file line 7, the middle of lines 6-8
+    A = read_matrix_market(write_lines(tmp_path / "c.mtx", body))
+    clean = read_matrix_market(write_lines(tmp_path / "clean.mtx", entry_lines(8)))
+    assert small_blocks == [[body[3], body[5]]]  # only the middle block went line by line
+    assert np.array_equal(A.to_dense(), clean.to_dense())
+
+
+def test_read_block_of_blank_lines_only(tmp_path, small_blocks):
+    body = entry_lines(3) + [_BLANK_8] * 3 + entry_lines(6)[3:]
+    A = read_matrix_market(write_lines(tmp_path / "b.mtx", body))
+    assert small_blocks == [[]]  # the blank block never reaches loadtxt
+    clean = read_matrix_market(write_lines(tmp_path / "clean.mtx", entry_lines(6)))
+    assert np.array_equal(A.to_dense(), clean.to_dense())
+
+
+def test_read_one_entry_too_many_inside_a_parsing_block(tmp_path, small_blocks):
+    # the second block (file lines 6-8) parses, but only 1 of its 3 entries fits
+    path = write_lines(tmp_path / "more.mtx", entry_lines(6), declared=4)
+    with pytest.raises(ParseError, match="more entries than declared") as err:
+        read_matrix_market(path)
+    assert err.value.line == 7
+
+
+def test_read_malformed_last_block(tmp_path, small_blocks):
+    body = entry_lines(6) + [_BLANK_8, "1 x 1.0\n"]
+    with pytest.raises(ParseError, match=r"malformed entry '1 x 1.0'") as err:
+        read_matrix_market(write_lines(tmp_path / "bad.mtx", body, declared=7))
+    assert err.value.line == 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    A=sparse_matrices(),
+    fillers=st.lists(st.tuples(st.integers(2, 50), _FILLER_LINES), min_size=1, max_size=8),
+    block_chars=st.integers(1, 80),
+)
+def test_read_with_and_without_fillers_gives_identical_arrays(tmp_path_factory, A, fillers, block_chars):
+    directory = tmp_path_factory.mktemp("blocks")
+    plain, filled = directory / "plain.mtx", directory / "filled.mtx"
+    write_matrix_market(A, plain)
+    lines = plain.read_text().splitlines(keepends=True)
+    for at, text in fillers:  # anywhere after the size line
+        lines.insert(min(at, len(lines)), text)
+    filled.write_text("".join(lines))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "_READ_BLOCK_CHARS", block_chars)
+        a, b = read_matrix_market(plain), read_matrix_market(filled)
+    for name in ("col_ptr", "row_idx", "values"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes() == getattr(A, name).tobytes()
 
 
 # ---------------------------------------------------------------------------

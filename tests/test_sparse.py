@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnasolve import (
     DimensionMismatch,
@@ -54,6 +56,40 @@ def test_from_triplets_index_and_value_errors():
         from_triplets(2, 2, [(0, -1, 1.0)])
     with pytest.raises(NonFiniteValue):
         from_triplets(2, 2, [(0, 0, float("nan"))])
+
+
+@st.composite
+def coordinates(draw, duplicates):
+    """(nrows, ncols, rows, cols, vals) in column-major order, as int64 / float64
+    arrays, with explicit zeros; with duplicates some positions repeat.  The
+    values are small integers, so duplicates sum exactly in any order."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    cells = draw(st.lists(cell, max_size=2 * nrows * ncols, unique=not duplicates))
+    cells.sort(key=lambda rc: (rc[1], rc[0]))
+    vals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 3.0]), min_size=len(cells), max_size=len(cells)))
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+    return nrows, ncols, rows, cols, np.array(vals, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(coordinates(duplicates=False), coordinates(duplicates=True)), seed=st.integers(0, 2**32 - 1))
+def test_from_arrays_property_order_free(data, seed):
+    # canonical input skips the sort; a shuffled copy goes through it, and
+    # duplicates keep even sorted input on the sort path
+    nrows, ncols, rows, cols, vals = data
+    order = np.random.default_rng(seed).permutation(rows.size)
+    A = from_arrays(nrows, ncols, rows, cols, vals)
+    B = from_arrays(nrows, ncols, rows[order], cols[order], vals[order])
+    for name in ("col_ptr", "row_idx", "values"):
+        assert getattr(A, name).tobytes() == getattr(B, name).tobytes()
+    dense = np.zeros((nrows, ncols))
+    np.add.at(dense, (rows, cols), vals)
+    assert np.array_equal(A.to_dense(), dense)
+    assert A.nnz == np.count_nonzero(dense)
+    for out in (A.col_ptr, A.row_idx, A.values):
+        assert not any(np.shares_memory(out, given_array) for given_array in (rows, cols, vals))
 
 
 def test_spmv_examples():
