@@ -10,6 +10,7 @@ convergence guarantee.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .errors import (
     NotSymmetric,
     ZeroDiagonal,
 )
-from .nna import SolveReport, SolveStatus, SolverConfig, default_tolerance
+from .nna import SolveReport, SolveStatus, SolverConfig, _norm, default_tolerance
 from .sparse import SparseMatrix, as_vector, from_arrays, spmv, spmv_transpose
 
 __all__ = [
@@ -121,7 +122,7 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     while True:
         y = spmv(A_off, x)
         matvecs += 1
-        trace.append(float(np.linalg.norm(b - y - diag * x)))
+        trace.append(_norm(b - y - diag * x))
         status = _terminal(trace[-1], eps, n, cfg.max_iter)
         if status is not None:
             return _report(status, x, trace, started, matvecs)
@@ -146,7 +147,7 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
     matvecs = 0
     n = 0
     while True:
-        trace.append(float(np.linalg.norm(b - spmv(A, x))))
+        trace.append(_norm(b - spmv(A, x)))
         matvecs += 1
         status = _terminal(trace[-1], eps, n, cfg.max_iter)
         if status is not None:
@@ -160,12 +161,13 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
+@np.errstate(over="ignore")  # an inner product that overflows ends the run as a breakdown
 def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
     """Textbook CG recurrence on an abstract SPD operator.
 
     value_fn maps the recurrence state (x, r) to the traced/stopping residual
     value; plain CG passes ||r||, the normal-equation wrapper substitutes the
-    original-system residual.
+    original-system residual.  Returns (x, trace, status, matvecs, diagnostic).
     """
     r = rhs - apply_op(x)
     matvecs = 1
@@ -173,10 +175,15 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
     p = r.copy()
     rs = float(r @ r)
     n = 0
+    diagnostic = None
     while (status := _terminal(trace[-1], eps, n, max_iter)) is None:
         Ap = apply_op(p)
         matvecs += 1
         pAp = float(p @ Ap)
+        if not (math.isfinite(rs) and math.isfinite(pAp)):
+            status = SolveStatus.BREAKDOWN
+            diagnostic = f"r^T r = {rs:.3e}, p^T A p = {pAp:.3e} at iteration {n}: the recurrence overflowed"
+            break
         if pAp <= 0.0:
             raise IndefiniteBreakdown(
                 f"p^T A p = {pAp:.3e} <= 0 at iteration {n}; operator is not positive definite"
@@ -190,7 +197,7 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
         p = r + beta * p
         rs = rs_new
         n += 1
-    return x, trace, status, matvecs
+    return x, trace, status, matvecs, diagnostic
 
 
 def cg_solve(
@@ -211,15 +218,15 @@ def cg_solve(
     if not assume_symmetric and not is_symmetric(A):
         raise NotSymmetric("cg_solve requires a symmetric matrix")
 
-    x, trace, status, matvecs = _cg_core(
+    x, trace, status, matvecs, diagnostic = _cg_core(
         lambda v: spmv(A, v),
         b,
         x,
         eps,
         cfg.max_iter,
-        lambda x, r: float(np.linalg.norm(r)),
+        lambda x, r: _norm(r),
     )
-    return _report(status, x, trace, started, matvecs)
+    return _report(status, x, trace, started, matvecs, diagnostic)
 
 
 def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -235,11 +242,11 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
         return spmv_transpose(A, spmv(A, v))
 
     def value_fn(x, r):
-        return float(np.linalg.norm(b - spmv(A, x)))
+        return _norm(b - spmv(A, x))
 
     rhs = spmv_transpose(A, b)
-    x, trace, status, matvecs = _cg_core(apply_op, rhs, x, eps, cfg.max_iter, value_fn)
-    return _report(status, x, trace, started, 2 * matvecs + len(trace))
+    x, trace, status, matvecs, diagnostic = _cg_core(apply_op, rhs, x, eps, cfg.max_iter, value_fn)
+    return _report(status, x, trace, started, 2 * matvecs + len(trace), diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,7 @@ def arnoldi_process(A: SparseMatrix, r0, k: int, tol: float) -> KrylovWorkspace:
     below tol, meaning the Krylov space became invariant.
     """
     r0 = np.asarray(r0, dtype=np.float64)
-    beta = float(np.linalg.norm(r0))
+    beta = _norm(r0)
     vs = [r0 / beta]
     H = np.zeros((k + 1, k))
     k_eff = k
@@ -296,7 +303,7 @@ def arnoldi_process(A: SparseMatrix, r0, k: int, tol: float) -> KrylovWorkspace:
 def lanczos_process(A: SparseMatrix, r0, k: int, tol: float) -> LanczosState:
     """Run k steps of the Lanczos three-term recurrence from r0."""
     r0 = np.asarray(r0, dtype=np.float64)
-    beta0 = float(np.linalg.norm(r0))
+    beta0 = _norm(r0)
     vs = [r0 / beta0]
     alphas = []
     betas = []
@@ -343,7 +350,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
         raise DimensionMismatch("restart length k must be >= 1")
     r = b - spmv(A, x)
     matvecs = 1
-    trace = [float(np.linalg.norm(r))]
+    trace = [_norm(r)]
     restarts = 0
     diagnostic = None
     while (status := _terminal(trace[-1], eps, restarts, cfg.max_iter)) is None:
@@ -370,7 +377,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
         x = x_next
         r = b - spmv(A, x)
         matvecs += 1
-        trace.append(float(np.linalg.norm(r)))
+        trace.append(_norm(r))
     return _report(status, x, trace, started, matvecs, diagnostic)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .nna import SolveReport, SolverConfig, _solve, nna_solve
-from .sparse import SparseMatrix, as_vector, from_arrays
-from .sparse import spmv  # noqa: F401  unused here, but perfbench/tracer.py patches this name
+from .sparse import SparseMatrix, _from_canonical, as_vector
+from .sparse import from_arrays, spmv  # noqa: F401  unused here, but perfbench/tracer.py patches these names
 
 __all__ = ["EmbeddedSystem", "consistency_defect", "embed", "extract", "general_solve"]
 
@@ -71,8 +71,8 @@ def embed(A: SparseMatrix, b) -> EmbeddedSystem:
     order = np.argsort(p_cols, kind="stable")
     p_rows = np.concatenate([rows[~neg], rows[neg], m1 + arange_j, m1 + arange_j])[order]
     p_vals = np.concatenate([vals[~neg], -vals[neg], np.ones(J), np.ones(J)])[order]
-    P = from_arrays(m1 + J, m2 + J, p_rows, p_cols[order], p_vals)
-    tie = from_arrays(m1, J, rows[neg], slack, -vals[neg])
+    P = _from_canonical(m1 + J, m2 + J, p_rows, p_cols[order], p_vals)
+    tie = _from_canonical(m1, J, rows[neg], slack, -vals[neg])
     c = np.concatenate([b, np.zeros(J)])
     return EmbeddedSystem(P=P, c=c, neg_cols=neg_cols, J=J, m1=m1, m2=m2, tie=tie)
 

@@ -99,9 +99,10 @@ class SolveReport:
 
     residual_trace[n] is ||A x_n - b||_2 on the original system and has
     length iterations + 1 (iterate 0 included).  kl_trace[n] is
-    D(b_tilde, b_tilde_n) on the rescaled system; it is empty for solvers
-    that do not track a divergence.  matvec_count counts products with the
-    iteration matrix.  For nna_solve and general_solve that is the matrix
+    D(b_tilde, b_tilde_n) on the rescaled system, for iterate 0 (the start
+    as given, off the simplex) at the start scaled onto the simplex; it is
+    empty for solvers that do not track a divergence.  matvec_count counts
+    products with the iteration matrix.  For nna_solve and general_solve that is the matrix
     the loop iterates (P for an embedded system), and the count also holds
     the products that recompute the residual of the returned x (one per
     solve, plus one per failed convergence recheck), summed over every
@@ -165,9 +166,21 @@ class RateCertificate:
     min_xstar: float
 
 
+@np.errstate(over="ignore")  # the plain sum of squares may overflow; that case is handled here
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 as np.linalg.norm computes it, scaled by the largest |v_i| where that overflows."""
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf:
+        big = float(np.abs(v).max())
+        if big < math.inf:
+            u = v / big
+            norm = big * math.sqrt(u.dot(u))
+    return norm
+
+
 def default_tolerance(b) -> float:
     """Hybrid absolute/relative default stopping tolerance."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(b)))
+    return 1e-8 * (1.0 + _norm(np.asarray(b, dtype=np.float64)))
 
 
 def _require_nonnegative(A: SparseMatrix):
@@ -188,8 +201,9 @@ def rescale(A: SparseMatrix, b) -> NonnegativeSystem:
     nonpos = np.flatnonzero(b <= 0.0)
     if nonpos.size:
         raise NonPositiveRhs(int(nonpos[0]))
-    a_tilde = SparseMatrix(
-        A.nrows, A.ncols, A.col_ptr, A.row_idx, A.values / s[A.entry_col]
+    # A is immutable, so the rescaled matrix shares its index arrays
+    a_tilde = SparseMatrix._trusted(
+        A.nrows, A.ncols, A.col_ptr, A.row_idx, A.values / s[A.entry_col], A.entry_col
     )
     b_total = float(b.sum())
     if not math.isfinite(b_total):
@@ -354,6 +368,11 @@ class _Monitor:
                 if not math.isfinite(kl):
                     _ratio(q, products[i])
                     kls[i] = metrics.kl_divergence(q, products[i])
+        if len(kls) == n + 1:
+            # iterate 0 is the start as given, off the simplex; as M is
+            # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at the
+            # normalized start is row 0's sum plus log sum(M x0)
+            kls[0] += math.log(products[0].sum())
         self.res_trace += residuals
         self.kl_trace += kls
         if residuals[-1] <= self.gate:
@@ -362,8 +381,8 @@ class _Monitor:
                 return SolveStatus.CONVERGED
             self.gate = residuals[-1] * self.eps / exact
         streak, prev_kl = self.streak, self.prev_kl
-        # iterate 0 is the start as given, off the simplex, so its entry is
-        # no divergence between distributions: the streak starts at iterate 1
+        # iterate 0's entry is taken at its normalized start, not at the
+        # iterate the loop holds, so the streak starts at iterate 1
         for kl in kls[1:] if len(kls) == n + 1 else kls:
             if prev_kl is not None:
                 drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
@@ -420,7 +439,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
         return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
 
     def residual_of(x_tilde):
-        return float(np.linalg.norm(original(spmv(A, system.recover(x_tilde) - t) - b)))
+        return _norm(original(spmv(A, system.recover(x_tilde) - t) - b))
 
     monitor = _Monitor(q, eps, cfg.max_iter, residual_of)
     cap = max(1, _BLOCK_ENTRIES // max(1, q.size))

@@ -1,8 +1,11 @@
 """Compressed sparse column matrices and the two matrix-vector kernels every solver uses.
 
 Storage is CSC with strictly increasing row indices inside each column, no
-explicitly stored zeros, and cached column sums.  Matrices are immutable after
-construction and safe to share across threads; all operations here are pure.
+explicitly stored zeros, and cached column sums.  A matrix that stores every
+entry holds its values in column-major order, so it also keeps them viewed as
+the dense array A^T, and both kernels multiply through BLAS on that view.
+Matrices are immutable after construction and safe to share across threads;
+all operations here are pure.
 """
 
 from __future__ import annotations
@@ -49,36 +52,52 @@ class SparseMatrix:
     values : float64 array, no stored zeros
     col_sums : float64 array, cached per-column sums of the stored values
     entry_col : int64 array mapping each stored entry to its column
+    dense_t : when every entry is stored, values viewed as the (ncols, nrows)
+        row-major array A^T (column j of A is row j); None otherwise
     """
 
-    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "col_sums", "entry_col")
+    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "col_sums", "entry_col", "dense_t")
 
     def __init__(self, nrows, ncols, col_ptr, row_idx, values):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
-        self.col_ptr = np.asarray(col_ptr, dtype=np.int64)
-        self.row_idx = np.asarray(row_idx, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.col_ptr.shape != (self.ncols + 1,):
+        nrows, ncols = int(nrows), int(ncols)
+        col_ptr = np.asarray(col_ptr, dtype=np.int64)
+        row_idx = np.asarray(row_idx, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if col_ptr.shape != (ncols + 1,):
             raise DimensionMismatch("col_ptr must have length ncols + 1")
-        if self.col_ptr[0] != 0 or self.col_ptr[-1] != self.values.size:
+        if col_ptr[0] != 0 or col_ptr[-1] != values.size:
             raise DimensionMismatch("col_ptr endpoints do not match the value count")
-        if np.any(np.diff(self.col_ptr) < 0):
+        if np.any(np.diff(col_ptr) < 0):
             raise DimensionMismatch("col_ptr must be non-decreasing")
-        if self.row_idx.shape != self.values.shape:
+        if row_idx.shape != values.shape:
             raise DimensionMismatch("row_idx and values must have equal length")
-        counts = np.diff(self.col_ptr)
-        self.entry_col = np.repeat(np.arange(self.ncols, dtype=np.int64), counts)
-        if self.row_idx.size:
-            if self.row_idx.min() < 0 or self.row_idx.max() >= self.nrows:
-                raise IndexOutOfRange(f"row index outside [0, {self.nrows})")
-            same_col = np.diff(self.entry_col) == 0
-            if np.any(same_col & (np.diff(self.row_idx) <= 0)):
+        entry_col = np.repeat(np.arange(ncols, dtype=np.int64), np.diff(col_ptr))
+        if row_idx.size:
+            if row_idx.min() < 0 or row_idx.max() >= nrows:
+                raise IndexOutOfRange(f"row index outside [0, {nrows})")
+            same_col = np.diff(entry_col) == 0
+            if np.any(same_col & (np.diff(row_idx) <= 0)):
                 raise DimensionMismatch("row indices must increase strictly within each column")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise NonFiniteValue("matrix values contain NaN or infinite entries")
+        self._store(nrows, ncols, col_ptr, row_idx, values, entry_col)
+
+    @classmethod
+    def _trusted(cls, nrows, ncols, col_ptr, row_idx, values, entry_col) -> "SparseMatrix":
+        """A matrix on arrays that already hold every invariant: nothing is checked or copied."""
+        A = object.__new__(cls)
+        A._store(nrows, ncols, col_ptr, row_idx, values, entry_col)
+        return A
+
+    def _store(self, nrows, ncols, col_ptr, row_idx, values, entry_col):
+        self.nrows, self.ncols = nrows, ncols
+        self.col_ptr, self.row_idx, self.values, self.entry_col = col_ptr, row_idx, values, entry_col
         # bincount of no entries comes back int64, hence the cast
-        self.col_sums = np.bincount(self.entry_col, weights=self.values, minlength=self.ncols).astype(np.float64, copy=False)
+        self.col_sums = np.bincount(entry_col, weights=values, minlength=ncols).astype(np.float64, copy=False)
+        # with strictly increasing rows, nrows * ncols entries fill every column
+        # in row order, so values is A in column-major order
+        full = 0 < values.size == nrows * ncols
+        self.dense_t = values.reshape(ncols, nrows) if full else None
 
     @property
     def nnz(self) -> int:
@@ -103,7 +122,11 @@ class SparseMatrix:
         return d
 
     def transpose(self) -> "SparseMatrix":
-        return from_arrays(self.ncols, self.nrows, self.entry_col, self.row_idx, self.values)
+        # a stable sort by row keeps the columns increasing within each row
+        order = np.argsort(self.row_idx, kind="stable")
+        return _from_canonical(
+            self.ncols, self.nrows, self.entry_col[order], self.row_idx[order], self.values[order]
+        )
 
     def to_dense(self) -> np.ndarray:
         """Densify; intended for small test oracles only."""
@@ -157,10 +180,15 @@ def from_arrays(nrows, ncols, rows, cols, values) -> SparseMatrix:
             vals = summed[keep]
             rows = key % nrows
             cols = key // nrows
-    col_counts = np.bincount(cols, minlength=ncols) if vals.size else np.zeros(ncols, dtype=np.int64)
+    return _from_canonical(nrows, ncols, rows, cols, vals)
+
+
+def _from_canonical(nrows, ncols, rows, cols, values) -> SparseMatrix:
+    """A matrix that takes over coordinate arrays already in column-major order
+    with no duplicate, zero or non-finite entry; nothing is checked or copied."""
     col_ptr = np.zeros(ncols + 1, dtype=np.int64)
-    np.cumsum(col_counts, out=col_ptr[1:])
-    return SparseMatrix(nrows, ncols, col_ptr, rows, vals)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=col_ptr[1:])
+    return SparseMatrix._trusted(nrows, ncols, col_ptr, rows, values, cols)
 
 
 def from_triplets(nrows, ncols, entries) -> SparseMatrix:
@@ -173,10 +201,17 @@ def from_triplets(nrows, ncols, entries) -> SparseMatrix:
 
 
 def spmv(A: SparseMatrix, x) -> np.ndarray:
-    """Compute A @ x in O(nnz): one multiply and one add per stored entry."""
+    """Compute A @ x in O(nnz): one multiply and one add per stored entry.
+
+    A fully stored matrix multiplies through BLAS on its dense view.  Its
+    results match the gather below to rounding, non-finite entries included,
+    but numpy reports an overflow or inf - inf inside BLAS as a warning.
+    """
     x = np.asarray(x, np.float64)
     if x.shape != (A.ncols,):
         raise DimensionMismatch(f"x has length {x.shape}, expected {A.ncols}")
+    if A.dense_t is not None:
+        return x.dot(A.dense_t)
     if A.values.size == 0:
         return np.zeros(A.nrows)
     # positional: bincount's keyword parsing is a measurable share of a small product
@@ -184,10 +219,12 @@ def spmv(A: SparseMatrix, x) -> np.ndarray:
 
 
 def spmv_transpose(A: SparseMatrix, c) -> np.ndarray:
-    """Compute A.T @ c in O(nnz) without materializing the transpose."""
+    """Compute A.T @ c in O(nnz) without materializing the transpose; as spmv for full storage."""
     c = np.asarray(c, np.float64)
     if c.shape != (A.nrows,):
         raise DimensionMismatch(f"c has length {c.shape}, expected {A.nrows}")
+    if A.dense_t is not None:
+        return A.dense_t.dot(c)
     if A.values.size == 0:
         return np.zeros(A.ncols)
     return np.bincount(A.entry_col, A.values * c[A.row_idx], A.ncols)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from nnasolve import (
     jacobi_solve,
     lanczos_process,
     minres_solve,
+    default_tolerance,
+    nna_solve,
     normal_equation_solve,
 )
 from nnasolve.baselines import _cg_core
@@ -209,18 +213,49 @@ _HUGE = from_triplets(2, 2, [(0, 0, 1e308), (0, 1, 1e308), (1, 0, 1e308), (1, 1,
     [
         (cg_solve, _DIAG, [1e300, 1e300]),
         (normal_equation_solve, _DIAG, [1e300, 1e300]),
-        (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), _DIAG, [1e300, 1e300]),
-        (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), _DIAG, [1e300, 1e300]),
         (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), _HUGE, [1.0, 1.0]),
         (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), _HUGE, [1.0, 1.0]),
     ],
-    ids=["cg", "normal-cg", "gmres", "minres", "gmres-overflowing-basis", "minres-overflowing-basis"],
+    ids=["cg", "normal-cg", "gmres-overflowing-basis", "minres-overflowing-basis"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_values_are_breakdown(solve, A, b):
     report = solve(A, b, cfg=SolverConfig(max_iter=20))
     assert report.status is SolveStatus.BREAKDOWN
     assert report.residual_trace.size == report.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "solve, status, iterations",
+    [
+        (jacobi_solve, SolveStatus.CONVERGED, 1),
+        (gauss_seidel_solve, SolveStatus.CONVERGED, 1),
+        # each restart keeps one Arnoldi / Lanczos step: the happy-breakdown
+        # test compares a subdiagonal of unit basis vectors with eps = 1.4e292
+        (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), SolveStatus.CONVERGED, 17),
+        (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), SolveStatus.CONVERGED, 17),
+        (nna_solve, SolveStatus.CONVERGED, 1),
+        # r^T r = 2e600 overflows in the CG recurrence itself
+        (cg_solve, SolveStatus.BREAKDOWN, 0),
+        (normal_equation_solve, SolveStatus.BREAKDOWN, 0),
+    ],
+    ids=["jacobi", "gauss-seidel", "gmres", "minres", "nna", "cg", "normal-cg"],
+)
+def test_residual_norms_do_not_overflow(solve, status, iterations):
+    # b, x* = (1e300, 5e299) and every residual are representable, but the
+    # plain sum of squares of b is not; no warning may be raised either
+    b = np.array([1e300, 1e300])
+    assert default_tolerance(b) == pytest.approx(1e-8 * math.sqrt(2.0) * 1e300)
+    report = solve(_DIAG, b, cfg=SolverConfig(max_iter=20))
+    assert report.status is status
+    assert report.iterations == iterations
+    assert report.residual_trace[0] == pytest.approx(math.sqrt(2.0) * 1e300)
+    assert np.all(np.isfinite(report.residual_trace))
+    if status is SolveStatus.CONVERGED:
+        assert report.residual_trace[-1] <= default_tolerance(b)
+        np.testing.assert_allclose(report.x, [1e300, 5e299], rtol=1e-8)
+    else:
+        assert report.diagnostic.startswith("r^T r = inf, p^T A p = inf at iteration 0")
 
 
 def test_arnoldi_orthonormal_basis():

@@ -151,16 +151,27 @@ def test_overflowing_shift_is_breakdown_exit_code(tmp_path, capsys):
     assert "NonFiniteValue" in out
 
 
-@pytest.mark.parametrize("solver", ["cg", "normal-cg", "gmres", "minres"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nonfinite_residual_is_breakdown_exit_code(tmp_path, capsys, solver):
-    # ||b|| overflows; the run used to end as converged with a NaN residual (exit 0)
+def _huge_rhs_argv(tmp_path, solver):
     mtx, vec = tmp_path / "d.mtx", tmp_path / "d.rhs"
     write_matrix_market(sparse_of([[1.0, 0.0], [0.0, 2.0]]), mtx)
     vec.write_text("1e300 1e300\n")
-    argv = ["solve", "--matrix", str(mtx), "--rhs", str(vec), "--solver", solver, "--k", "2", "--out", str(tmp_path)]
-    assert run(argv) == 1
+    return ["solve", "--matrix", str(mtx), "--rhs", str(vec), "--solver", solver, "--k", "2", "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("solver", ["cg", "normal-cg"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_residual_is_breakdown_exit_code(tmp_path, capsys, solver):
+    # r^T r overflows in the CG recurrence; the run used to end as converged
+    # with a NaN residual (exit 0)
+    assert run(_huge_rhs_argv(tmp_path, solver)) == 1
     assert "breakdown" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solver", ["gmres", "minres"])
+def test_huge_rhs_converges_exit_code(tmp_path, capsys, solver):
+    # ||b||^2 overflows, but the scaled norm does not: the run converges
+    assert run(_huge_rhs_argv(tmp_path, solver)) == 0
+    assert "converged" in capsys.readouterr().out
 
 
 def test_singular_hessenberg_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -302,6 +303,8 @@ def reference_solve(A, b, cfg):
         tracked = system.b_total * float(np.linalg.norm(b_n - q))
         res.append(tracked)
         kl = kl_divergence(q, b_n)
+        if n == 0:  # iterate 0's entry is taken at the start scaled onto the simplex
+            kl += math.log(b_n.sum())
         kls.append(kl)
         if tracked <= gate:
             exact = res[-1] = exact_residual(xt)
@@ -413,7 +416,8 @@ def test_stagnation_streak_starts_inside_a_block(monkeypatch):
 
 def test_stagnation_streak_skips_the_start_off_the_simplex(monkeypatch):
     # iterate 0 is the start as given, off the simplex, so its kl_trace entry
-    # can be negative; the rise from it to iterate 1 is no stalled step
+    # is taken at the start scaled onto the simplex (it read -0.549 when it was
+    # taken at the start itself), and the streak starts at iterate 1
     streaks = []
     close = nnasolve.nna._Monitor.close
 
@@ -425,7 +429,11 @@ def test_stagnation_streak_skips_the_start_off_the_simplex(monkeypatch):
     monkeypatch.setattr(nnasolve.nna._Monitor, "close", spy)
     A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 1.0), (0, 1, 1.0)])
     report = nna_solve(A, [1.0, 1.0], cfg=SolverConfig(t_shift=0.0, max_iter=1))
-    assert report.kl_trace[0] < 0.0 < report.kl_trace[1]
+    assert report.kl_trace[0] >= report.kl_trace[1] >= 0.0
+    system = rescale(A, [1.0, 1.0])
+    x_hat = system.col_scale / system.col_scale.sum()
+    start = kl_divergence(system.b_tilde, spmv(system.a_tilde, x_hat))
+    assert report.kl_trace[0] == pytest.approx(start, rel=1e-12)
     assert streaks == [0]
 
 
@@ -473,7 +481,7 @@ def test_solve_auto_shift_recovers_signed_solution():
 
 def test_solve_auto_shift_retries_count_every_attempt():
     # x* = (3, -3) needs a shift above 3: t = 0.317, 0.634, 1.267 and 2.535
-    # stagnate (541, 1172, 3089 and 30226 iterations) before t = 5.069
+    # stagnate (541, 1171, 3089 and 30226 iterations) before t = 5.069
     # converges in 9201; matvec_count sums the products of all five attempts
     A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
     b = spmv(A, np.array([3.0, -3.0]))
@@ -482,7 +490,7 @@ def test_solve_auto_shift_retries_count_every_attempt():
     assert report.iterations == 9201
     recomputed = float(np.linalg.norm(A.to_dense() @ report.x - b))
     assert recomputed <= default_tolerance(b)
-    assert report.matvec_count == 88_468
+    assert report.matvec_count == 88_466
     # the report names the kept attempt's shift and counts every attempt
     assert report.t_shift == pytest.approx(5.069, rel=1e-3)
     assert report.attempts == 5

@@ -7,8 +7,11 @@ from nnasolve import (
     DimensionMismatch,
     IndexOutOfRange,
     NonFiniteValue,
+    SparseMatrix,
     from_arrays,
     from_triplets,
+    gen_dense_uniform,
+    rescale,
     spmv,
     spmv_transpose,
 )
@@ -223,3 +226,89 @@ def test_direct_construction_validates_invariants():
         SparseMatrix(2, 2, [0, 1, 1], [5], [1.0])
     with pytest.raises(NonFiniteValue):
         SparseMatrix(2, 2, [0, 1, 1], [0], [float("inf")])
+
+
+# ---------------------------------------------------------------------------
+# fully stored matrices: the BLAS path on the dense view of the values
+
+def _gather(A, x, transpose):
+    """The sparse kernels' gather + bincount formula, on any matrix."""
+    if transpose:
+        return np.bincount(A.entry_col, A.values * x[A.row_idx], A.ncols)
+    return np.bincount(A.row_idx, A.values * x[A.entry_col], A.nrows)
+
+
+_MAGNITUDE = st.floats(-5.0, 5.0).map(lambda e: 10.0**e)
+_SIGNED = st.tuples(_MAGNITUDE, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+@st.composite
+def full_products(draw):
+    """A fully stored matrix with entries of magnitude 1e-5..1e5 and, for
+    each kernel, an input vector that may hold zeros, inf and nan."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dense = np.array(draw(st.lists(_SIGNED, min_size=m * n, max_size=m * n))).reshape(m, n)
+    entry = st.one_of(_SIGNED, st.just(0.0))
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.sampled_from([np.inf, -np.inf, np.nan]))
+    x = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+    return dense, x, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=full_products())
+def test_full_storage_kernels_match_the_gather_formula(case):
+    dense, x, c = case
+    A = sparse_of(dense)
+    assert A.dense_t is not None
+    # numpy reports an inf - inf or an overflow inside a BLAS product as a
+    # warning, but not inside bincount's sum, so both run without them here
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [(spmv(A, x), _gather(A, x, False), x, False), (spmv_transpose(A, c), _gather(A, c, True), c, True)]
+    for got, want, v, transpose in pairs:
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        if np.all(np.isfinite(v)):
+            bound = np.abs(dense.T if transpose else dense) @ np.abs(v)
+            assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+
+def test_full_storage_view_shares_the_values():
+    dense = np.arange(1.0, 7.0).reshape(2, 3)
+    for A in (sparse_of(dense), SparseMatrix(2, 3, [0, 2, 4, 6], [0, 1, 0, 1, 0, 1], dense.T.ravel())):
+        assert np.shares_memory(A.dense_t, A.values)
+        assert np.array_equal(A.dense_t, dense.T)
+        T = A.transpose()
+        assert np.array_equal(T.dense_t, dense)
+        assert np.shares_memory(T.dense_t, T.values)
+    # the rescaled matrix shares A's index arrays and views its own values
+    A = sparse_of(dense)
+    a_tilde = rescale(A, [1.0, 1.0]).a_tilde
+    assert a_tilde.col_ptr is A.col_ptr and a_tilde.row_idx is A.row_idx
+    assert np.shares_memory(a_tilde.dense_t, a_tilde.values)
+
+
+def test_full_storage_view_needs_every_entry():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        m, n = rng.integers(1, 8, size=2)
+        dense = rng.uniform(1.0, 2.0, (m, n))
+        assert sparse_of(dense).dense_t is not None
+        dense[rng.integers(m), rng.integers(n)] = 0.0
+        A = sparse_of(dense)
+        assert A.dense_t is None
+        x, c = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
+        assert spmv(A, x).tobytes() == _gather(A, x, False).tobytes()
+        assert spmv_transpose(A, c).tobytes() == _gather(A, c, True).tobytes()
+    for m, n in ((0, 0), (0, 3), (3, 0)):
+        assert from_triplets(m, n, []).dense_t is None
+
+
+def test_dense_instances_take_the_blas_path():
+    inst = gen_dense_uniform(10, 0)
+    for A in (inst.A, rescale(inst.A, inst.b).a_tilde):
+        assert np.shares_memory(A.dense_t, A.values)
+        x = np.linspace(0.5, 1.5, 10)
+        assert spmv(A, x).tobytes() == x.dot(A.dense_t).tobytes()
+        assert spmv_transpose(A, x).tobytes() == A.dense_t.dot(x).tobytes()
