@@ -6,8 +6,6 @@ systems, classical iterative baselines, and reproducible benchmarking I/O.
 from .baselines import (
     Dominance,
     DominanceClass,
-    KrylovWorkspace,
-    LanczosState,
     arnoldi_process,
     cg_solve,
     dominance_class,

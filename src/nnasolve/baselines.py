@@ -29,8 +29,6 @@ from .sparse import SparseMatrix, as_vector, from_arrays, spmv, spmv_transpose
 __all__ = [
     "Dominance",
     "DominanceClass",
-    "KrylovWorkspace",
-    "LanczosState",
     "arnoldi_process",
     "cg_solve",
     "dominance_class",
@@ -200,22 +198,15 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
     return x, trace, status, matvecs, diagnostic
 
 
-def cg_solve(
-    A: SparseMatrix,
-    b,
-    x0=None,
-    cfg: SolverConfig | None = None,
-    assume_symmetric: bool = False,
-) -> SolveReport:
+def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
     """Conjugate gradients for symmetric positive definite A.
 
-    Symmetry is checked structurally (within 1e-12 relative) unless
-    assume_symmetric is set; positive definiteness is assumed and its
-    violation surfaces as IndefiniteBreakdown.
+    Symmetry is checked structurally (within 1e-12 relative); positive
+    definiteness is assumed and its violation surfaces as IndefiniteBreakdown.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
-    if not assume_symmetric and not is_symmetric(A):
+    if not is_symmetric(A):
         raise NotSymmetric("cg_solve requires a symmetric matrix")
 
     x, trace, status, matvecs, diagnostic = _cg_core(
@@ -232,8 +223,9 @@ def cg_solve(
 def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
     """CG applied to A^T A x = A^T b without forming A^T A.
 
-    The trace and stopping test use the original residual ||A x - b||_2,
-    maintained incrementally from the inner products already computed.
+    The trace and stopping test use the original residual ||b - A x||_2,
+    recomputed with one product by A per trace entry, which matvec_count
+    includes next to the two products per CG step.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
@@ -252,99 +244,68 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
 # ---------------------------------------------------------------------------
 # Krylov: Arnoldi / Lanczos with restarted minimum-residual outer loop
 
-@dataclass
-class KrylovWorkspace:
-    """Arnoldi output: orthonormal basis V, upper-Hessenberg H, and ||r0||.
-
-    H has shape (k_eff + 1, k_eff); V holds every basis vector formed
-    (k_eff + 1 columns, or k_eff on a happy breakdown).
-    """
-
-    V: np.ndarray
-    H: np.ndarray
-    beta: float
+# A subdiagonal at or below this share of ||A v_j|| means the Krylov space is
+# invariant under A; a ratio of norms, so it holds at any scale of A and r0
+_INVARIANT_REL = 1e-12
 
 
-@dataclass
-class LanczosState:
-    """Lanczos output: tridiagonal coefficients alpha (diagonal) and beta
-    (subdiagonal, including the trailing norm), plus the basis V."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    V: np.ndarray
-
-
-def arnoldi_process(A: SparseMatrix, r0, k: int, tol: float) -> KrylovWorkspace:
+def arnoldi_process(A: SparseMatrix, r0, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Run k steps of Arnoldi with modified Gram-Schmidt from r0.
 
-    Truncates early (happy breakdown) when the next subdiagonal norm falls
-    below tol, meaning the Krylov space became invariant.
+    Returns (V, H): H is the (k_eff + 1) x k_eff upper-Hessenberg matrix and V
+    the orthonormal basis, with k_eff + 1 columns, or k_eff when step k_eff
+    found the Krylov space invariant (subdiagonal at most _INVARIANT_REL times
+    its column norm, which is ||A v_j||).
     """
     r0 = np.asarray(r0, dtype=np.float64)
-    beta = _norm(r0)
-    vs = [r0 / beta]
+    vs = [r0 / _norm(r0)]
     H = np.zeros((k + 1, k))
-    k_eff = k
     for j in range(k):
         w = spmv(A, vs[j])
         for i in range(j + 1):
             H[i, j] = float(w @ vs[i])
             w -= H[i, j] * vs[i]
-        H[j + 1, j] = float(np.linalg.norm(w))
-        if H[j + 1, j] < tol:
-            k_eff = j + 1
-            break
+        H[j + 1, j] = _norm(w)
+        if H[j + 1, j] <= _INVARIANT_REL * _norm(H[: j + 2, j]):
+            return np.column_stack(vs), H[: j + 2, : j + 1]
         vs.append(w / H[j + 1, j])
-    V = np.column_stack(vs)
-    return KrylovWorkspace(V=V, H=H[: k_eff + 1, :k_eff], beta=beta)
+    return np.column_stack(vs), H
 
 
-def lanczos_process(A: SparseMatrix, r0, k: int, tol: float) -> LanczosState:
-    """Run k steps of the Lanczos three-term recurrence from r0."""
+def lanczos_process(A: SparseMatrix, r0, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run k steps of the Lanczos three-term recurrence from r0.
+
+    Same contract and invariance stop as arnoldi_process; H is tridiagonal.
+    """
     r0 = np.asarray(r0, dtype=np.float64)
-    beta0 = _norm(r0)
-    vs = [r0 / beta0]
-    alphas = []
-    betas = []
-    v_prev = np.zeros(r0.size)
-    beta_j = 0.0
-    for j in range(k):
-        w = spmv(A, vs[j]) - beta_j * v_prev
-        a = float(w @ vs[j])
-        w -= a * vs[j]
-        alphas.append(a)
-        beta_next = float(np.linalg.norm(w))
-        betas.append(beta_next)
-        if beta_next < tol:
-            break
-        v_prev = vs[j]
-        beta_j = beta_next
-        vs.append(w / beta_next)
-    return LanczosState(alpha=np.asarray(alphas), beta=np.asarray(betas), V=np.column_stack(vs))
-
-
-def _tridiagonal_from_lanczos(state: LanczosState) -> np.ndarray:
-    k = state.alpha.size
-    j = np.arange(k)
+    vs = [r0 / _norm(r0)]
     H = np.zeros((k + 1, k))
-    H[j, j] = state.alpha
-    H[j + 1, j] = state.beta
-    H[j[:-1], j[1:]] = state.beta[:-1]
-    return H
+    for j in range(k):
+        w = spmv(A, vs[j])
+        if j:
+            H[j - 1, j] = H[j, j - 1]
+            w -= H[j - 1, j] * vs[j - 1]
+        H[j, j] = float(w @ vs[j])
+        w -= H[j, j] * vs[j]
+        H[j + 1, j] = _norm(w)
+        if H[j + 1, j] <= _INVARIANT_REL * _norm(H[: j + 2, j]):
+            return np.column_stack(vs), H[: j + 2, : j + 1]
+        vs.append(w / H[j + 1, j])
+    return np.column_stack(vs), H
 
 
-def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport:
-    """Shared outer loop: restart the inner projection until tolerance.
+def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
+    """Shared outer loop: restart the projection built by process until tolerance.
 
     One report iteration is one restart (one application of the k-step
     cycle); matvec_count carries the total number of products.  A restart
-    that ends on an invariant Krylov space (last subdiagonal of H below eps)
+    that ends on an invariant Krylov space (V has no column past H's last)
     and still leaves x unchanged is GMRES's breakdown: H is singular there,
     the space holds no better x, and every later restart would repeat this
     one bit for bit, so the run ends as BREAKDOWN.  A zero step on a space
     that is not invariant is stagnation; it runs on to max_iter.
     """
+    started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
     if k < 1:
         raise DimensionMismatch("restart length k must be >= 1")
@@ -354,18 +315,19 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, inner, started) -> SolveReport
     restarts = 0
     diagnostic = None
     while (status := _terminal(trace[-1], eps, restarts, cfg.max_iter)) is None:
-        V, H, used = inner(A, r, k, eps)
-        matvecs += used
+        V, H = process(A, r, k)
+        steps = H.shape[1]
+        matvecs += steps
         if not np.isfinite(H).all():  # a product overflowed; LAPACK would reject H
             status = SolveStatus.BREAKDOWN
             break
-        rhs = np.zeros(H.shape[0])
+        rhs = np.zeros(steps + 1)
         rhs[0] = trace[-1]
         # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
         y = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        x_next = x + V[:, : H.shape[1]] @ y
+        x_next = x + V[:, :steps] @ y
         restarts += 1
-        if H[-1, -1] < eps and np.array_equal(x_next, x):
+        if V.shape[1] == steps and np.array_equal(x_next, x):
             # r is unchanged too, so every later restart would repeat this one bit for bit
             trace.append(trace[-1])
             status = SolveStatus.BREAKDOWN
@@ -387,39 +349,21 @@ def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig 
     cfg.max_iter bounds the number of restarts.  GMRES may stagnate on
     general matrices; that surfaces as MAX_ITERATIONS, not an error.
     """
-    started = time.perf_counter_ns()
-
-    def inner(A, r, k, eps):
-        ws = arnoldi_process(A, r, k, eps)
-        return ws.V, ws.H, ws.H.shape[1]
-
-    return _restarted_minimum_residual(A, b, x0, k, cfg, inner, started)
+    # looked up per call, not bound at import, so a wrapper patched onto
+    # nnasolve.baselines.arnoldi_process sees every restart
+    return _restarted_minimum_residual(A, b, x0, k, cfg, arnoldi_process)
 
 
-def minres_solve(
-    A: SparseMatrix,
-    b,
-    x0=None,
-    k: int = 20,
-    cfg: SolverConfig | None = None,
-    assume_symmetric: bool = False,
-) -> SolveReport:
+def minres_solve(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:
     """Restarted minimum-residual solve for symmetric A via Lanczos.
 
     Same outer logic as GMRES(k) with the Arnoldi loop replaced by the
     three-term recurrence, so each cycle costs k (2 nnz + 9 m) flops plus a
     small least-squares solve.
     """
-    started = time.perf_counter_ns()
-    if not assume_symmetric and not is_symmetric(A):
+    if not is_symmetric(A):
         raise NotSymmetric("minres_solve requires a symmetric matrix")
-
-    def inner(A, r, k, eps):
-        state = lanczos_process(A, r, k, eps)
-        H = _tridiagonal_from_lanczos(state)
-        return state.V, H, state.alpha.size
-
-    return _restarted_minimum_residual(A, b, x0, k, cfg, inner, started)
+    return _restarted_minimum_residual(A, b, x0, k, cfg, lanczos_process)
 
 
 # ---------------------------------------------------------------------------

@@ -168,11 +168,13 @@ class RateCertificate:
 
 @np.errstate(over="ignore")  # the plain sum of squares may overflow; that case is handled here
 def _norm(v: np.ndarray) -> float:
-    """||v||_2 as np.linalg.norm computes it, scaled by the largest |v_i| where that overflows."""
+    """||v||_2 as np.linalg.norm computes it, scaled by the largest |v_i| where
+    the plain sum of squares overflows or falls below 1e-280, near the
+    subnormal range, where small squares lose digits or flush to 0."""
     norm = math.sqrt(v.dot(v))
-    if norm == math.inf:
-        big = float(np.abs(v).max())
-        if big < math.inf:
+    if not 1e-140 < norm < math.inf:
+        big = float(np.abs(v).max(initial=0.0))
+        if 0.0 < big < math.inf:
             u = v / big
             norm = big * math.sqrt(u.dot(u))
     return norm

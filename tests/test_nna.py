@@ -36,7 +36,7 @@ from nnasolve import (
     shift,
     spmv,
 )
-from nnasolve.nna import _STAGNATION_REL_DELTA, _STAGNATION_WINDOW
+from nnasolve.nna import _STAGNATION_REL_DELTA, _STAGNATION_WINDOW, _norm
 from conftest import consistent_nonneg, identity, sparse_of
 
 
@@ -518,6 +518,14 @@ def test_solve_converged_means_returned_x_meets_tolerance():
 def test_solve_default_tolerance_scales_with_b():
     assert default_tolerance(np.zeros(3)) == pytest.approx(1e-8)
     assert default_tolerance(np.array([3.0, 4.0])) == pytest.approx(6e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e300])
+def test_norm_holds_at_every_representable_scale(scale):
+    # the plain sum of squares flushes to 0 below ~1.5e-154 and overflows above ~1.3e154
+    assert _norm(np.array([3.0, 0.0, -4.0]) * scale) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+    assert _norm(np.zeros(3)) == 0.0 and _norm(np.empty(0)) == 0.0
+    assert math.isnan(_norm(np.array([scale, np.nan])))
 
 
 def test_solve_matches_independent_dense_reference():
