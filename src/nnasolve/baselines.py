@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ def _report(status, x, trace, started, matvecs, diagnostic=None):
         status=status,
         iterations=len(trace) - 1,
         x=x,
-        residual_trace=np.asarray(trace),
+        residual_trace=np.frombuffer(trace),
         kl_trace=np.empty(0),
         elapsed_ns=time.perf_counter_ns() - started,
         matvec_count=matvecs,
@@ -114,7 +115,7 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     b, x, cfg, eps = _setup(A, b, x0, cfg)
     diag, A_off = _split_diagonal(A)
 
-    trace = []
+    trace = array("d")
     matvecs = 0
     n = 0
     while True:
@@ -141,7 +142,7 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
     T = A_off.transpose()  # column j of T = row j of A_off
     ptr, idx, vals = T.col_ptr.tolist(), T.row_idx, T.values
 
-    trace = []
+    trace = array("d")
     matvecs = 0
     n = 0
     while True:
@@ -169,7 +170,7 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
     """
     r = rhs - apply_op(x)
     matvecs = 1
-    trace = [value_fn(x, r)]
+    trace = array("d", [value_fn(x, r)])
     p = r.copy()
     rs = float(r @ r)
     n = 0
@@ -225,7 +226,7 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
 
     The trace and stopping test use the original residual ||b - A x||_2,
     recomputed with one product by A per trace entry, which matvec_count
-    includes next to the two products per CG step.
+    includes next to the two products per CG step and the product A^T b.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
@@ -238,7 +239,7 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
 
     rhs = spmv_transpose(A, b)
     x, trace, status, matvecs, diagnostic = _cg_core(apply_op, rhs, x, eps, cfg.max_iter, value_fn)
-    return _report(status, x, trace, started, 2 * matvecs + len(trace), diagnostic)
+    return _report(status, x, trace, started, 2 * matvecs + len(trace) + 1, diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
         raise DimensionMismatch("restart length k must be >= 1")
     r = b - spmv(A, x)
     matvecs = 1
-    trace = [_norm(r)]
+    trace = array("d", [_norm(r)])
     restarts = 0
     diagnostic = None
     while (status := _terminal(trace[-1], eps, restarts, cfg.max_iter)) is None:
@@ -326,8 +327,10 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
         # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
         y = np.linalg.lstsq(H, rhs, rcond=None)[0]
         x_next = x + V[:, :steps] @ y
+        invariant = V.shape[1] == steps
+        del V  # else it stays alive while the next restart builds its basis
         restarts += 1
-        if V.shape[1] == steps and np.array_equal(x_next, x):
+        if invariant and np.array_equal(x_next, x):
             # r is unchanged too, so every later restart would repeat this one bit for bit
             trace.append(trace[-1])
             status = SolveStatus.BREAKDOWN

@@ -55,7 +55,8 @@ def embed(A: SparseMatrix, b) -> EmbeddedSystem:
     if b.shape != (A.nrows,):
         raise DimensionMismatch(f"b has length {b.size}, expected {A.nrows}")
     m1, m2 = A.nrows, A.ncols
-    rows, cols, vals = A.triplets()
+    # read in place: every array built from them below is a fresh copy
+    rows, cols, vals = A.row_idx, A.entry_col, A.values
     neg = vals < 0.0
     neg_cols = np.unique(cols[neg])
     J = int(neg_cols.size)

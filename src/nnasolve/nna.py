@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,12 +98,14 @@ class SolverConfig:
 class SolveReport:
     """Outcome of one solve: final iterate plus per-iteration traces.
 
-    residual_trace[n] is ||A x_n - b||_2 on the original system and has
-    length iterations + 1 (iterate 0 included).  kl_trace[n] is
-    D(b_tilde, b_tilde_n) on the rescaled system, for iterate 0 (the start
-    as given, off the simplex) at the start scaled onto the simplex; it is
-    empty for solvers that do not track a divergence.  matvec_count counts
-    products with the iteration matrix.  For nna_solve and general_solve that is the matrix
+    Both traces are float64 arrays backed by the typed buffers the run
+    filled, 8 bytes an entry, not copies of them.  residual_trace[n] is
+    ||A x_n - b||_2 on the original system and has length iterations + 1
+    (iterate 0 included).  kl_trace[n] is D(b_tilde, b_tilde_n) on the
+    rescaled system, for iterate 0 (the start as given, off the simplex) at
+    the start scaled onto the simplex; it is empty for solvers that do not
+    track a divergence.  matvec_count counts products with the iteration
+    matrix.  For nna_solve and general_solve that is the matrix
     the loop iterates (P for an embedded system), and the count also holds
     the products that recompute the residual of the returned x (one per
     solve, plus one per failed convergence recheck), summed over every
@@ -345,8 +348,9 @@ class _Monitor:
         self.streak = 0
         self.prev_kl = None
         self.exact_products = 0
-        self.res_trace: list[float] = []
-        self.kl_trace: list[float] = []
+        # typed buffers: 8 bytes an iterate, not a float object and its pointer
+        self.res_trace = array("d")
+        self.kl_trace = array("d")
 
     def width(self, n: int, cap: int) -> int:
         """Rows the block whose first row is iterate n may hold, at most cap."""
@@ -375,8 +379,8 @@ class _Monitor:
             # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at the
             # normalized start is row 0's sum plus log sum(M x0)
             kls[0] += math.log(products[0].sum())
-        self.res_trace += residuals
-        self.kl_trace += kls
+        self.res_trace.fromlist(residuals)
+        self.kl_trace.fromlist(kls)
         if residuals[-1] <= self.gate:
             exact = self.res_trace[-1] = self.recheck(x_tilde)
             if exact <= self.eps:
@@ -481,8 +485,8 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
         status=status,
         iterations=n,
         x=system.recover(xt) - t,
-        residual_trace=np.asarray(monitor.res_trace),
-        kl_trace=np.asarray(monitor.kl_trace),
+        residual_trace=np.frombuffer(monitor.res_trace),
+        kl_trace=np.frombuffer(monitor.kl_trace),
         elapsed_ns=0,
         # one product per iterate, one per update, and the recomputed residuals
         matvec_count=2 * n + 1 + monitor.exact_products,

@@ -9,6 +9,7 @@ platform.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -349,12 +350,14 @@ def read_trace(path):
     """Read a trace CSV back; returns (iters, residuals, kls, elapsed) arrays.
 
     Missing divergence entries come back as NaN; "inf" round-trips to inf.
+    The columns are parsed into typed buffers, 8 bytes a value, which the
+    returned arrays share.
     """
     with open(path, "r", newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != _TRACE_HEADER:
             raise ParseError(1, f"unexpected trace header {header!r}")
-        iters, res, kls, elapsed = [], [], [], []
+        iters, res, kls, elapsed = array("q"), array("d"), array("d"), array("q")
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
             if len(parts) != 4:
@@ -364,8 +367,8 @@ def read_trace(path):
             kls.append(float(parts[2]) if parts[2] else math.nan)
             elapsed.append(int(parts[3]))
     return (
-        np.asarray(iters, dtype=np.int64),
-        np.asarray(res),
-        np.asarray(kls),
-        np.asarray(elapsed, dtype=np.int64),
+        np.frombuffer(iters, dtype=np.int64),
+        np.frombuffer(res),
+        np.frombuffer(kls),
+        np.frombuffer(elapsed, dtype=np.int64),
     )

@@ -214,8 +214,12 @@ def spmv(A: SparseMatrix, x) -> np.ndarray:
         return x.dot(A.dense_t)
     if A.values.size == 0:
         return np.zeros(A.nrows)
-    # positional: bincount's keyword parsing is a measurable share of a small product
-    return np.bincount(A.row_idx, A.values * x[A.entry_col], A.nrows)
+    # the gather is a fresh array, so it takes the products in place: one nnz
+    # temporary, and v * x == x * v bit for bit; positional, as bincount's
+    # keyword parsing is a measurable share of a small product
+    terms = x[A.entry_col]
+    terms *= A.values
+    return np.bincount(A.row_idx, terms, A.nrows)
 
 
 def spmv_transpose(A: SparseMatrix, c) -> np.ndarray:
@@ -227,4 +231,6 @@ def spmv_transpose(A: SparseMatrix, c) -> np.ndarray:
         return A.dense_t.dot(c)
     if A.values.size == 0:
         return np.zeros(A.ncols)
-    return np.bincount(A.entry_col, A.values * c[A.row_idx], A.ncols)
+    terms = c[A.row_idx]
+    terms *= A.values
+    return np.bincount(A.entry_col, terms, A.ncols)

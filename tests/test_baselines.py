@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnasolve
 from nnasolve import (
     Dominance,
     IndefiniteBreakdown,
@@ -19,6 +21,7 @@ from nnasolve import (
     from_arrays,
     from_triplets,
     gauss_seidel_solve,
+    gen_sparse_random,
     gmres_restarted,
     is_symmetric,
     jacobi_solve,
@@ -392,6 +395,23 @@ def test_gmres_calls_the_builder_by_its_module_name(monkeypatch):
     assert len(calls) == report.iterations
 
 
+def test_gmres_frees_each_restart_basis_before_the_next():
+    # a restart holds its basis twice, as the list of vectors and as the
+    # matrix stacked from it, but never next to the basis of the restart before
+    inst = gen_sparse_random(20_000, 20_000, 100.0, 0)
+    gmres_restarted(inst.A, inst.b, k=2, cfg=SolverConfig(max_iter=1))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = gmres_restarted(inst.A, inst.b, k=20, cfg=SolverConfig(eps_tol=1e-300, max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.status is SolveStatus.MAX_ITERATIONS and report.iterations == 3
+    assert peak <= 2.5 * 21 * inst.A.nrows * 8
+
+
 # ---------------------------------------------------------------------------
 # normal equations
 
@@ -406,6 +426,22 @@ def test_normal_cg_identity_and_oracle():
     report = normal_equation_solve(sparse_of(dense), b, cfg=SolverConfig(eps_tol=1e-8, max_iter=50_000))
     assert report.status is SolveStatus.CONVERGED
     assert np.abs(report.x - np.linalg.solve(dense, b)).max() <= 1e-6
+
+
+def test_normal_cg_counts_every_product(monkeypatch):
+    # the products of A^T b, of each CG step and of each traced residual
+    calls = []
+    for name in ("spmv", "spmv_transpose"):
+        kernel = getattr(nnasolve.baselines, name)
+
+        def counted(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        monkeypatch.setattr(nnasolve.baselines, name, counted)
+    report = normal_equation_solve(sparse_of([[2.0, 1.0], [0.0, 1.0]]), [3.0, 1.0], cfg=CFG)
+    assert report.status is SolveStatus.CONVERGED and report.iterations == 2
+    assert len(calls) == report.matvec_count == 10
 
 
 def test_normal_cg_slower_than_gmres_on_graded():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,24 @@ def test_stagnation_streak_skips_the_start_off_the_simplex(monkeypatch):
     start = kl_divergence(system.b_tilde, spmv(system.a_tilde, x_hat))
     assert report.kl_trace[0] == pytest.approx(start, rel=1e-12)
     assert streaks == [0]
+
+
+def test_solve_memory_per_iterate_is_the_two_traces():
+    # each trace keeps 8 bytes an iterate in a typed buffer, with the buffer's
+    # growth slack on top; nothing else the run allocates grows with it
+    inst = gen_dense_uniform(10, 0)
+    cfg = SolverConfig(t_shift=10.0, max_iter=20_000)
+    nna_solve(inst.A, inst.b, cfg=SolverConfig(t_shift=10.0, max_iter=10))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = nna_solve(inst.A, inst.b, cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.status is SolveStatus.MAX_ITERATIONS and report.iterations == 20_000
+    assert peak <= 24 * report.iterations + 64 * 1024
 
 
 def test_solve_path_imports_no_scipy():

@@ -11,6 +11,7 @@ from nnasolve import (
     from_arrays,
     from_triplets,
     gen_dense_uniform,
+    gen_sparse_random,
     rescale,
     spmv,
     spmv_transpose,
@@ -132,6 +133,21 @@ def test_spmv_transpose_with_empty_columns():
     out = spmv_transpose(A, [1.0, 1.0, 1.0])
     assert np.allclose(out, [2.0, 0.0, 0.0, 5.0])
     assert np.allclose(spmv(A, [1.0, 1.0, 1.0, 1.0]), [2.0, 0.0, 5.0])
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_sparse_kernels_match_the_gather_formula_bit_for_bit(seed):
+    # the kernels multiply the gathered vector by the values in place; IEEE
+    # multiplication commutes, so the sums are the formula's to the last bit
+    A = gen_sparse_random(1000, 5000, 100.0, seed).A
+    assert A.dense_t is None
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, A.ncols) * 10.0 ** rng.integers(-8, 8, A.ncols)
+    c = rng.uniform(-1.0, 1.0, A.nrows) * 10.0 ** rng.integers(-8, 8, A.nrows)
+    expected = np.bincount(A.row_idx, A.values * x[A.entry_col], A.nrows)
+    assert spmv(A, x).tobytes() == expected.tobytes()
+    expected = np.bincount(A.entry_col, A.values * c[A.row_idx], A.ncols)
+    assert spmv_transpose(A, c).tobytes() == expected.tobytes()
 
 
 def test_column_sums_examples():
