@@ -42,6 +42,8 @@ __all__ = [
     "normal_equation_solve",
 ]
 
+_SYMMETRY_RTOL = 1e-12  # is_symmetric: |a_ij - a_ji| <= this * max(|a_ij|, |a_ji|)
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -95,15 +97,15 @@ def _split_diagonal(A: SparseMatrix) -> tuple[np.ndarray, SparseMatrix]:
     return diag, from_arrays(A.nrows, A.ncols, rows[off], cols[off], vals[off])
 
 
-def is_symmetric(A: SparseMatrix, rtol: float = 1e-12) -> bool:
-    """Structural and value symmetry within a relative tolerance."""
+def is_symmetric(A: SparseMatrix) -> bool:
+    """Structural and value symmetry within the relative tolerance _SYMMETRY_RTOL."""
     if A.nrows != A.ncols:
         return False
     T = A.transpose()
     if not (np.array_equal(A.col_ptr, T.col_ptr) and np.array_equal(A.row_idx, T.row_idx)):
         return False
     scale = np.maximum(np.abs(A.values), np.abs(T.values))
-    return bool(np.all(np.abs(A.values - T.values) <= rtol * scale))
+    return bool(np.all(np.abs(A.values - T.values) <= _SYMMETRY_RTOL * scale))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ _STAGNATION_REL_DELTA = 1e-12
 _STAGNATION_WINDOW = 50
 # the solve loop's block of ratio rows holds at most this many entries (32 KB)
 _BLOCK_ENTRIES = 4096
+# rate_certificate inverts the rescaled matrix densely, so only up to this size
+_CERTIFICATE_DENSE_LIMIT = 200
 
 
 class SolveStatus(enum.Enum):
@@ -88,8 +90,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.eps_tol is not None and not self.eps_tol > 0.0:
             raise ValueError("eps_tol must be positive")
-        if self.t_shift is not None and self.t_shift < 0.0:
-            raise ValueError("t_shift must be nonnegative")
+        if self.t_shift is not None and not 0.0 <= self.t_shift < math.inf:
+            raise ValueError("t_shift must be finite and nonnegative")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -329,79 +331,6 @@ def _breakdown(exc: Exception, b: np.ndarray, started: int) -> SolveReport:
     )
 
 
-class _Monitor:
-    """The stopping rules, the recheck gate and the traces of one run.
-
-    The map hands it blocks of rows, one row per iterate: the tracked
-    residual, the ratio c = q / (M x_tilde) and the product M x_tilde.  A
-    block ends at the first row whose residual reaches the gate, or after
-    width() rows; under that bound stagnation and max_iter can only fire on
-    a block's last row.  So the rules, applied to a block in row order, stop
-    the run on the row a row-by-row check would, and no product is computed
-    past it.  residual_of(x_tilde) is the residual of the x that x_tilde
-    returns, recomputed from A and b with one product.
-    """
-
-    def __init__(self, q, eps, max_iter, residual_of):
-        self.q, self.eps, self.max_iter, self.residual_of = q, eps, max_iter, residual_of
-        self.gate = eps
-        self.streak = 0
-        self.prev_kl = None
-        self.exact_products = 0
-        # typed buffers: 8 bytes an iterate, not a float object and its pointer
-        self.res_trace = array("d")
-        self.kl_trace = array("d")
-
-    def width(self, n: int, cap: int) -> int:
-        """Rows the block whose first row is iterate n may hold, at most cap."""
-        return min(_STAGNATION_WINDOW - self.streak, self.max_iter - n + 1, cap)
-
-    def recheck(self, x_tilde) -> float:
-        self.exact_products += 1
-        return self.residual_of(x_tilde)
-
-    def close(self, ratios, products, residuals, n, x_tilde):
-        """Apply the rules to a block whose last row is iterate n at x_tilde.
-
-        Returns the status that ends the run there, or None to go on.
-        """
-        q = self.q
-        kls = np.add.reduce(q * np.log(ratios), axis=1).tolist()
-        if not math.isfinite(sum(kls)):
-            # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes a
-            # row's divergence non-finite; the typed checks name the defect
-            for i, kl in enumerate(kls):
-                if not math.isfinite(kl):
-                    _ratio(q, products[i])
-                    kls[i] = metrics.kl_divergence(q, products[i])
-        if len(kls) == n + 1:
-            # iterate 0 is the start as given, off the simplex; as M is
-            # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at the
-            # normalized start is row 0's sum plus log sum(M x0)
-            kls[0] += math.log(products[0].sum())
-        self.res_trace.fromlist(residuals)
-        self.kl_trace.fromlist(kls)
-        if residuals[-1] <= self.gate:
-            exact = self.res_trace[-1] = self.recheck(x_tilde)
-            if exact <= self.eps:
-                return SolveStatus.CONVERGED
-            self.gate = residuals[-1] * self.eps / exact
-        streak, prev_kl = self.streak, self.prev_kl
-        # iterate 0's entry is taken at its normalized start, not at the
-        # iterate the loop holds, so the streak starts at iterate 1
-        for kl in kls[1:] if len(kls) == n + 1 else kls:
-            if prev_kl is not None:
-                drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
-                streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
-            prev_kl = kl
-        self.streak, self.prev_kl = streak, prev_kl
-        if streak >= _STAGNATION_WINDOW:
-            return SolveStatus.STAGNATED_MIN_KL
-        if n >= self.max_iter:
-            return SolveStatus.MAX_ITERATIONS
-        return None
-
-
 # a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
@@ -414,22 +343,26 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     Neither is the residual of the returned x = recover(x_tilde) - t: the
     subtraction of a large t cancels digits.  So once the tracked residual
     reaches the gate (eps at first), the residual of the returned x is
-    recomputed from A and b; the run converges only if that value is within
-    eps, else the gate is lowered by the observed ratio and the iteration
-    goes on.  On any exit the last trace entry is the recomputed residual of
-    the returned x.
+    recomputed from A and b with one product; the run converges only if that
+    value is within eps, else the gate is lowered by the observed ratio and
+    the iteration goes on.  On any exit the last trace entry is the
+    recomputed residual of the returned x.
 
-    The loop is the map plus a _Monitor.  The map does, per row, the product
-    M x_tilde, the tracked residual and its gate test, the ratio c = q / (M
-    x_tilde) written into a row of a preallocated block, and the update
-    through _update, which nna_step shares.  The monitor takes the block: one
-    reduction gives every row's divergence sum q log c, and the typed checks
-    of _ratio and kl_divergence run only on a row whose divergence is not
-    finite.  A block holds at most _BLOCK_ENTRIES ratio entries, so it stays
-    in cache; at m = 10 the stagnation window (50 rows) bounds it first.
-    The arithmetic matches nna_step and kl_divergence bit for bit:
-    sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector, and
-    each row of the block reduction is what np.sum computes on that row.
+    Each pass of the loop is one row, one iterate: the product M x_tilde,
+    the tracked residual, the ratio c = q / (M x_tilde) written into a row of
+    a preallocated block, and the update through _update, which nna_step
+    shares.  The rows form blocks.  A block ends at the first row whose
+    residual reaches the gate, or once it holds width rows; under that bound
+    stagnation and max_iter can only fire on a block's last row.  There one
+    reduction gives every row's divergence sum q log c, the typed checks of
+    _ratio and kl_divergence run only on a row whose divergence is not
+    finite, and the recheck and the stopping rules are applied in row order.
+    So the run stops on the row a row-by-row check would, and no product is
+    computed past it.  A block holds at most _BLOCK_ENTRIES ratio entries, so
+    it stays in cache; at m = 10 the stagnation window (50 rows) bounds it
+    first.  The arithmetic matches nna_step and kl_divergence bit for bit:
+    sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector, and each
+    row of the block reduction is what np.sum computes on that row.
     """
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
@@ -447,49 +380,82 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     def residual_of(x_tilde):
         return _norm(original(spmv(A, system.recover(x_tilde) - t) - b))
 
-    monitor = _Monitor(q, eps, cfg.max_iter, residual_of)
+    max_iter = cfg.max_iter
     cap = max(1, _BLOCK_ENTRIES // max(1, q.size))
-    block = np.empty((min(cap, _STAGNATION_WINDOW, cfg.max_iter + 1), q.size))
+    block = np.empty((min(cap, _STAGNATION_WINDOW, max_iter + 1), q.size))
     rows = list(block)  # views, made once
     # looked up once: the row body is a handful of numpy calls, so each
     # attribute or global lookup it saves is a measurable share of it
     a_tilde, b_total = system.a_tilde, system.b_total
     sqrt, divide = math.sqrt, np.divide
-    n = 0
+    gate, streak, prev_kl, failed_rechecks = eps, 0, None, 0
+    # typed buffers: 8 bytes an iterate, not a float object and its pointer
+    res_trace, kl_trace = array("d"), array("d")
+    products: list[np.ndarray] = []
+    n = k = 0  # the iterate, and its row in the open block
     while True:
-        width, gate = monitor.width(n, cap), monitor.gate
-        products: list[np.ndarray] = []
-        residuals: list[float] = []
-        k = 0
-        while True:
-            b_n = spmv(a_tilde, xt)
-            d = b_n - q if tie is None else original(b_n - q)
-            resid = b_total * sqrt(d.dot(d))
-            c_n = divide(q, b_n, rows[k])
-            products.append(b_n)
-            residuals.append(resid)
-            k += 1
-            if resid <= gate or k == width:
+        if k == 0:
+            width = min(_STAGNATION_WINDOW - streak, max_iter - n + 1, cap)
+        b_n = spmv(a_tilde, xt)
+        d = b_n - q if tie is None else original(b_n - q)
+        resid = b_total * sqrt(d.dot(d))
+        c_n = divide(q, b_n, rows[k])
+        products.append(b_n)
+        res_trace.append(resid)
+        k += 1
+        if resid <= gate or k == width:
+            # the block ends on iterate n
+            kls = np.add.reduce(q * np.log(block[:k]), axis=1).tolist()
+            if not math.isfinite(sum(kls)):
+                # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes
+                # a row's divergence non-finite; the typed checks name the defect
+                for i, kl in enumerate(kls):
+                    if not math.isfinite(kl):
+                        _ratio(q, products[i])
+                        kls[i] = metrics.kl_divergence(q, products[i])
+            if k == n + 1:
+                # iterate 0 is the start as given, off the simplex; as M is
+                # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at
+                # the normalized start is row 0's sum plus log sum(M x0)
+                kls[0] += math.log(products[0].sum())
+            kl_trace.fromlist(kls)
+            if resid <= gate:
+                exact = res_trace[-1] = residual_of(xt)
+                if exact <= eps:
+                    status = SolveStatus.CONVERGED
+                    break
+                failed_rechecks += 1
+                gate = resid * eps / exact
+            # iterate 0's entry is taken at its normalized start, not at the
+            # iterate the loop holds, so the streak starts at iterate 1
+            for kl in kls[1:] if k == n + 1 else kls:
+                if prev_kl is not None:
+                    drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
+                    streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
+                prev_kl = kl
+            if streak >= _STAGNATION_WINDOW:
+                status = SolveStatus.STAGNATED_MIN_KL
                 break
-            xt = _update(system, xt, c_n)
-            n += 1
-        status = monitor.close(block[:k], products, residuals, n, xt)
-        if status is not None:
-            break
+            if n >= max_iter:
+                status = SolveStatus.MAX_ITERATIONS
+                break
+            products.clear()
+            k = 0
         xt = _update(system, xt, c_n)
         n += 1
 
     if status is not SolveStatus.CONVERGED:
-        monitor.res_trace[-1] = monitor.recheck(xt)
+        res_trace[-1] = residual_of(xt)
     return SolveReport(
         status=status,
         iterations=n,
         x=system.recover(xt) - t,
-        residual_trace=np.frombuffer(monitor.res_trace),
-        kl_trace=np.frombuffer(monitor.kl_trace),
+        residual_trace=np.frombuffer(res_trace),
+        kl_trace=np.frombuffer(kl_trace),
         elapsed_ns=0,
-        # one product per iterate, one per update, and the recomputed residuals
-        matvec_count=2 * n + 1 + monitor.exact_products,
+        # one product per iterate and one per update, the recomputed residual
+        # of the returned x, and one per failed recheck
+        matvec_count=2 * n + 2 + failed_rechecks,
         t_shift=t,
     )
 
@@ -556,16 +522,17 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
     )
 
 
-def rate_certificate(A: SparseMatrix, x_star, dense_limit: int = 200) -> RateCertificate:
+def rate_certificate(A: SparseMatrix, x_star) -> RateCertificate:
     """Contraction certificate delta = min_j x_tilde*_j / (3 ||a_tilde^{-1}||_1^2).
 
-    Uses a dense inverse of the rescaled matrix, so it is restricted to small
-    square systems; intended for test harnesses, not production paths.
+    Uses a dense inverse of the rescaled matrix, so it is restricted to square
+    systems of at most _CERTIFICATE_DENSE_LIMIT rows; intended for test
+    harnesses, not production paths.
     """
     if A.nrows != A.ncols:
         raise DimensionMismatch("rate_certificate requires a square matrix")
-    if A.nrows > dense_limit:
-        raise TooLargeForDense(f"m={A.nrows} exceeds the dense limit {dense_limit}")
+    if A.nrows > _CERTIFICATE_DENSE_LIMIT:
+        raise TooLargeForDense(f"m={A.nrows} exceeds the dense limit {_CERTIFICATE_DENSE_LIMIT}")
     _require_nonnegative(A)
     x_star = as_vector(x_star, "x_star")
     if x_star.shape != (A.ncols,):

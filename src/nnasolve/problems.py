@@ -54,6 +54,8 @@ class SplitMix64:
         self._counter = 0
 
     def next_u64(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"cannot draw {n} values; n must be nonnegative")
         ctr = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         z = self._seed + _GOLDEN * ctr
@@ -116,6 +118,8 @@ def gen_sparse_random(m: int, offdiag_nnz: int, diag_hi: float, seed: int) -> Pr
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if offdiag_nnz < 0:
+        raise ValueError("offdiag_nnz must be nonnegative")
     max_off = m * (m - 1)
     if offdiag_nnz > max_off:
         raise TooManyNonzeros(f"requested {offdiag_nnz} off-diagonal entries, only {max_off} positions")

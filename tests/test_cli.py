@@ -303,3 +303,16 @@ def test_explicit_shift_too_small_is_input_error(tmp_path, capsys):
     )
     assert code == 2
     assert "not positive" in capsys.readouterr().err
+
+
+def test_negative_generator_count_is_input_error(tmp_path, capsys):
+    code = run(["solve", "--gen", "sparse-random:m=10,offdiag=-5", "--solver", "nna", "--out", str(tmp_path)])
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_nonfinite_shift_is_input_error(tmp_path, capsys, t):
+    code = run(["solve", "--gen", "dense-uniform:m=3", "--solver", "nna", "--t", t, "--out", str(tmp_path)])
+    assert code == 2
+    assert "t_shift" in capsys.readouterr().err

@@ -37,7 +37,7 @@ from nnasolve import (
     shift,
     spmv,
 )
-from nnasolve.nna import _STAGNATION_REL_DELTA, _STAGNATION_WINDOW, _norm
+from nnasolve.nna import _BLOCK_ENTRIES, _STAGNATION_REL_DELTA, _STAGNATION_WINDOW, _norm
 from conftest import consistent_nonneg, identity, sparse_of
 
 
@@ -392,42 +392,38 @@ def test_solve_loop_matches_plain_kernels(case, expected):
     np.testing.assert_array_equal(report.x, x)
 
 
-def test_stagnation_streak_starts_inside_a_block(monkeypatch):
+def test_stagnation_streak_starts_inside_a_block():
     # the inconsistent case above must keep exercising a streak that starts
     # inside a block, so that the next block's width is cut to the rest of
-    # the window; the block ends are read off the monitor
-    ends = []
-    close = nnasolve.nna._Monitor.close
-
-    def spy(self, ratios, products, residuals, n, x_tilde):
-        ends.append(n)
-        return close(self, ratios, products, residuals, n, x_tilde)
-
-    monkeypatch.setattr(nnasolve.nna._Monitor, "close", spy)
+    # the window; the residual never reaches the gate, so the blocks are
+    # those of the width rule, replayed here from the divergence trace
     A, b, cfg = _inconsistent_case()
     report = nna_solve(A, b, cfg=cfg)
+    assert report.status is SolveStatus.STAGNATED_MIN_KL
+    assert report.residual_trace.min() > cfg.eps_tol
     kls = report.kl_trace
     drops = (kls[:-1] - kls[1:]) / np.maximum(kls[:-1], 1e-300)
     start = int(np.flatnonzero(~(drops < _STAGNATION_REL_DELTA))[-1]) + 2
     assert report.iterations - start + 1 == _STAGNATION_WINDOW
     assert start == 2059
-    assert start not in {0} | {n + 1 for n in ends}
-    assert ends[-1] == report.iterations
+    # streak[n]: the streak a block that opens on iterate n starts from, the
+    # count of small drops from iterate 1 up to iterate n - 1
+    streak = [0, 0, 0]
+    for drop in drops[1:]:
+        streak.append(streak[-1] + 1 if drop < _STAGNATION_REL_DELTA else 0)
+    cap = _BLOCK_ENTRIES // A.nrows
+    starts, first = [], 0
+    while first <= report.iterations:
+        starts.append(first)
+        first += min(_STAGNATION_WINDOW - streak[first], cfg.max_iter - first + 1, cap)
+    assert first - 1 == report.iterations  # the run ends on a block's last row
+    assert start not in starts
 
 
-def test_stagnation_streak_skips_the_start_off_the_simplex(monkeypatch):
+def test_stagnation_streak_skips_the_start_off_the_simplex():
     # iterate 0 is the start as given, off the simplex, so its kl_trace entry
     # is taken at the start scaled onto the simplex (it read -0.549 when it was
-    # taken at the start itself), and the streak starts at iterate 1
-    streaks = []
-    close = nnasolve.nna._Monitor.close
-
-    def spy(self, *args):
-        status = close(self, *args)
-        streaks.append(self.streak)
-        return status
-
-    monkeypatch.setattr(nnasolve.nna._Monitor, "close", spy)
+    # taken at the start itself)
     A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 1.0), (0, 1, 1.0)])
     report = nna_solve(A, [1.0, 1.0], cfg=SolverConfig(t_shift=0.0, max_iter=1))
     assert report.kl_trace[0] >= report.kl_trace[1] >= 0.0
@@ -435,7 +431,15 @@ def test_stagnation_streak_skips_the_start_off_the_simplex(monkeypatch):
     x_hat = system.col_scale / system.col_scale.sum()
     start = kl_divergence(system.b_tilde, spmv(system.a_tilde, x_hat))
     assert report.kl_trace[0] == pytest.approx(start, rel=1e-12)
-    assert streaks == [0]
+    # and the streak starts at iterate 1: here every iterate from 1 on is the
+    # fixed point, so the window fills with the drop from iterate 50 to 51,
+    # not one iterate earlier with the drop from iterate 0
+    report = nna_solve(
+        from_triplets(2, 1, [(0, 0, 1.0), (1, 0, 1.0)]), [1.0, 2.0],
+        cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0),
+    )
+    assert report.status is SolveStatus.STAGNATED_MIN_KL
+    assert report.iterations == _STAGNATION_WINDOW + 1
 
 
 def test_solve_memory_per_iterate_is_the_two_traces():
@@ -594,8 +598,9 @@ def test_solve_one_by_one():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(t_shift=-1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(t_shift=t)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=-1)
 
@@ -744,7 +749,7 @@ def test_rate_certificate_errors():
     with pytest.raises(SingularMatrix):
         rate_certificate(sparse_of([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0])
     with pytest.raises(TooLargeForDense):
-        rate_certificate(identity(10), np.ones(10), dense_limit=5)
+        rate_certificate(identity(201), np.ones(201))
 
 
 def _counting_kernels(monkeypatch):

@@ -51,6 +51,17 @@ def test_splitmix_matches_pure_python_reference():
     assert more == [reference_splitmix(42, 6), reference_splitmix(42, 7)]
 
 
+def test_splitmix_rejects_a_negative_count():
+    # a negative n would move the counter back, so a later draw would repeat one
+    rng = SplitMix64(3)
+    first = rng.uniform(2)
+    for draw in (rng.next_u64, rng.uniform, lambda n: rng.below(n, 10)):
+        with pytest.raises(ValueError):
+            draw(-2)
+    assert not np.any(np.isin(rng.uniform(2), first))
+    assert np.array_equal(rng.next_u64(0), np.empty(0, dtype=np.uint64))
+
+
 def test_splitmix_uniform_range():
     u = SplitMix64(7).uniform(10_000)
     assert np.all((u >= 0.0) & (u < 1.0))
@@ -192,6 +203,11 @@ def test_read_sums_duplicate_entries(tmp_path):
     A = read_matrix_market(path)
     assert A.to_dense()[0, 0] == 3.0
     assert A.nnz == 2
+
+
+def test_gen_sparse_random_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="offdiag_nnz"):
+        gen_sparse_random(10, -5, 5.0, 0)
 
 
 def test_gen_sparse_random_single_row():
