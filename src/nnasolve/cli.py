@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .baselines import (
 )
 from .embedding import general_solve
 from .errors import NnaSolveError
-from .nna import SolveStatus, SolverConfig, nna_solve
+from .nna import SolveReport, SolveStatus, SolverConfig, nna_solve
 from .problems import (
     SplitMix64,
     gen_dense_uniform,
@@ -39,7 +40,25 @@ from .problems import (
 )
 from .sparse import SparseMatrix, as_vector, from_arrays, spmv
 
-SOLVER_NAMES = ("nna", "general", "jacobi", "gauss-seidel", "cg", "gmres", "minres", "normal-cg")
+
+class _Solver(NamedTuple):
+    solve: Callable[..., SolveReport]
+    takes_t: bool = False  # one run per --t value
+    needs_k: bool = False  # --k is the restart length
+
+
+SOLVERS = {
+    "nna": _Solver(nna_solve, takes_t=True),
+    "general": _Solver(general_solve, takes_t=True),
+    "jacobi": _Solver(jacobi_solve),
+    "gauss-seidel": _Solver(gauss_seidel_solve),
+    "cg": _Solver(cg_solve),
+    "gmres": _Solver(gmres_restarted, needs_k=True),
+    "minres": _Solver(minres_solve, needs_k=True),
+    "normal-cg": _Solver(normal_equation_solve),
+}
+_SHIFTING = "/".join(name for name, entry in SOLVERS.items() if entry.takes_t)
+_RESTARTED = "/".join(name for name, entry in SOLVERS.items() if entry.needs_k)
 
 _OK_STATUSES = (SolveStatus.CONVERGED, SolveStatus.STAGNATED_MIN_KL)
 
@@ -88,32 +107,13 @@ def _make_rhs(spec: str, A: SparseMatrix, seed: int) -> np.ndarray:
     return as_vector(values, "rhs file")
 
 
-def _run_one(solver: str, A, b, cfg: SolverConfig, k: int, t: float | None):
-    cfg_t = replace(cfg, t_shift=t)
-    if solver == "nna":
-        return nna_solve(A, b, cfg=cfg_t)
-    if solver == "general":
-        return general_solve(A, b, cfg=cfg_t)
-    if solver == "jacobi":
-        return jacobi_solve(A, b, cfg=cfg)
-    if solver == "gauss-seidel":
-        return gauss_seidel_solve(A, b, cfg=cfg)
-    if solver == "cg":
-        return cg_solve(A, b, cfg=cfg)
-    if solver == "gmres":
-        return gmres_restarted(A, b, k=k, cfg=cfg)
-    if solver == "minres":
-        return minres_solve(A, b, k=k, cfg=cfg)
-    if solver == "normal-cg":
-        return normal_equation_solve(A, b, cfg=cfg)
-    raise ValueError(solver)
-
-
-def _shift_columns(report, t_format: str) -> tuple[str, str]:
-    """The shift the report kept and its attempts, empty for solvers that do not shift."""
+def _summary_values(report, t_format: str) -> tuple[float, str, str]:
+    """The run's final residual (NaN without a trace), kept shift and attempts;
+    the last two are empty for solvers that do not shift."""
+    final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
     if report.t_shift is None:
-        return "", ""
-    return t_format.format(report.t_shift), str(report.attempts)
+        return final, "", ""
+    return final, t_format.format(report.t_shift), str(report.attempts)
 
 
 def cmd_solve(args) -> int:
@@ -136,12 +136,12 @@ def cmd_solve(args) -> int:
         return 2
 
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
-    unknown = [s for s in solvers if s not in SOLVER_NAMES]
+    unknown = [s for s in solvers if s not in SOLVERS]
     if not solvers or unknown:
         print(f"error: unknown solver(s): {', '.join(unknown) or '(none given)'}", file=sys.stderr)
         return 2
-    if any(s in ("gmres", "minres") for s in solvers) and args.k is None:
-        print("error: --k is required when gmres or minres is selected", file=sys.stderr)
+    if args.k is None and any(SOLVERS[s].needs_k for s in solvers):
+        print(f"error: --k is required when {_RESTARTED} is selected", file=sys.stderr)
         return 2
 
     tol = args.tol
@@ -157,12 +157,12 @@ def cmd_solve(args) -> int:
     t_values = args.t if args.t else [None]
     runs = []
     for solver in solvers:
-        shifts = t_values if solver in ("nna", "general") else [None]
-        for t in shifts:
-            report = _run_one(solver, A, b, cfg, args.k or 0, t)
+        entry = SOLVERS[solver]
+        restart = {"k": args.k} if entry.needs_k else {}
+        for t in t_values if entry.takes_t else [None]:
+            report = entry.solve(A, b, cfg=replace(cfg, t_shift=t), **restart)
             label = solver if t is None else f"{solver}_t{t:g}"
-            trace_path = out_dir / f"{label}.csv"
-            write_trace(replace(report, elapsed_ns=0), trace_path)
+            write_trace(replace(report, elapsed_ns=0), out_dir / f"{label}.csv")
             runs.append((label, report))
 
     print(f"instance: {source}")
@@ -174,8 +174,7 @@ def cmd_solve(args) -> int:
     print(header)
     print("-" * len(header))
     for label, report in runs:
-        final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
-        t_txt, attempts_txt = _shift_columns(report, "{:.4g}")
+        final, t_txt, attempts_txt = _summary_values(report, "{:.4g}")
         print(
             f"{label:<16} {report.status.value:<18} {report.iterations:>8d} "
             f"{final:>15.6e} {report.elapsed_ns / 1e9:>9.3f} {report.matvec_count:>10d} "
@@ -188,8 +187,7 @@ def cmd_solve(args) -> int:
         with open(args.summary_csv, "w", newline="") as fh:
             fh.write("solver,status,iterations,final_residual,wall_s,matvecs,t,attempts\n")
             for label, report in runs:
-                final = report.residual_trace[-1] if report.residual_trace.size else float("nan")
-                t_txt, attempts_txt = _shift_columns(report, "{:.17g}")
+                final, t_txt, attempts_txt = _summary_values(report, "{:.17g}")
                 fh.write(
                     f"{label},{report.status.value},{report.iterations},"
                     f"{final:.17g},{report.elapsed_ns / 1e9:.6f},{report.matvec_count},{t_txt},{attempts_txt}\n"
@@ -266,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--matrix", help="Matrix Market file (coordinate real general/symmetric)")
     solve.add_argument("--gen", help="generator spec, e.g. dense-uniform:m=10 or sparse-random:m=1000,offdiag=5000,diag-hi=100")
     solve.add_argument("--rhs", help="'ones' (b = A*1), 'from-solution:uniform', or a vector file")
-    solve.add_argument("--solver", required=True, help=f"comma list of {', '.join(SOLVER_NAMES)}")
+    solve.add_argument("--solver", required=True, help=f"comma list of {', '.join(SOLVERS)}")
     solve.add_argument("--tol", type=float, default=None, help="stopping tolerance (default 1e-8*(1+||b||); env NNA_DEFAULT_TOL overrides)")
-    solve.add_argument("--t", type=float, action="append", help="positivity shift for nna/general; repeat for several runs")
+    solve.add_argument("--t", type=float, action="append", help=f"positivity shift for {_SHIFTING}; repeat for several runs")
     solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument("--k", type=int, default=None, help="restart length for gmres/minres")
+    solve.add_argument("--k", type=int, default=None, help=f"restart length for {_RESTARTED}")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", default=".", help="directory for trace CSVs")
     solve.add_argument("--summary-csv", default=None, help="also write the summary table as CSV")

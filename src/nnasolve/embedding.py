@@ -130,6 +130,4 @@ def general_solve(
             raise DimensionMismatch(f"x0 has length {x0.size}, expected {emb.m2}")
         y0 = np.concatenate([x0, -x0[emb.neg_cols]])
     report = _solve(emb.P, emb.c, y0, cfg, emb.tie)
-    if report.x.shape == (emb.m2 + emb.J,):
-        return replace(report, x=extract(report.x, emb))
-    return report
+    return replace(report, x=extract(report.x, emb))

@@ -219,7 +219,7 @@ def rescale(A: SparseMatrix, b) -> NonnegativeSystem:
 
 
 def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
-    """Shift (x, b) by t >= 0 so the right-hand side becomes positive.
+    """Shift (x, b) by a finite t >= 0 so the right-hand side becomes positive.
 
     t=None picks the automatic value: zero when b is already positive, else
     twice the smallest shift that clears every row by a data-driven margin,
@@ -251,6 +251,8 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
         t_val = float(t)
         if t_val < 0.0:
             raise NegativeInput("shift t must be nonnegative")
+        if not math.isfinite(t_val):
+            raise NonFiniteValue(f"shift t must be finite, got {t_val}")
         b_t = b + t_val * row_sums
         bad = np.flatnonzero(b_t <= 0.0)
         if bad.size:
@@ -319,11 +321,11 @@ def nna_step_counted(system: NonnegativeSystem, x_n: np.ndarray) -> tuple[np.nda
     return np.array(x_next), flops
 
 
-def _breakdown(exc: Exception, b: np.ndarray, started: int) -> SolveReport:
+def _breakdown(exc: Exception, ncols: int, started: int) -> SolveReport:
     return SolveReport(
         status=SolveStatus.BREAKDOWN,
         iterations=0,
-        x=np.full(b.shape, np.nan),
+        x=np.full(ncols, np.nan),
         residual_trace=np.empty(0),
         kl_trace=np.empty(0),
         elapsed_ns=time.perf_counter_ns() - started,
@@ -489,7 +491,7 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
     try:
         shifted = shift(A, b_arr, cfg.t_shift)
     except (ZeroColumn, UnshiftableRow) as exc:
-        return _breakdown(exc, b_arr, started)
+        return _breakdown(exc, A.ncols, started)
     x_start = np.ones(A.ncols) if x0 is None else as_vector(x0, "x0")
     if x_start.shape != (A.ncols,):
         raise DimensionMismatch(f"x0 has length {x_start.size}, expected {A.ncols}")
@@ -502,7 +504,7 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
         try:
             report = _run_iteration(A, b_arr, shifted, x_start, cfg, eps, tie)
         except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
-            return _breakdown(exc, b_arr, started)
+            return _breakdown(exc, A.ncols, started)
         matvecs += report.matvec_count
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
             best = report

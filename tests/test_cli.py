@@ -316,3 +316,18 @@ def test_nonfinite_shift_is_input_error(tmp_path, capsys, t):
     code = run(["solve", "--gen", "dense-uniform:m=3", "--solver", "nna", "--t", t, "--out", str(tmp_path)])
     assert code == 2
     assert "t_shift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["nna", "general", "jacobi", "gauss-seidel", "cg", "gmres", "minres", "normal-cg"])
+def test_every_solver_runs_once_per_shift_it_takes(tmp_path, solver):
+    # symmetric and strictly dominant, so every solver converges; only the
+    # shifting solvers run once per --t, the others ignore it
+    labels = [f"{solver}_t1", f"{solver}_t2"] if solver in ("nna", "general") else [solver]
+    mtx, out, summary = tmp_path / "spd.mtx", tmp_path / "runs", tmp_path / "summary.csv"
+    write_matrix_market(sparse_of([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]]), mtx)
+    argv = ["solve", "--matrix", str(mtx), "--rhs", "ones", "--solver", solver, "--k", "4"]
+    code = run(argv + ["--t", "1", "--t", "2", "--out", str(out), "--summary-csv", str(summary)])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"{label}.csv" for label in labels]
+    rows = summary.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == labels

@@ -11,6 +11,7 @@ from nnasolve import (
     embed,
     extract,
     from_arrays,
+    from_triplets,
     general_solve,
     nna_solve,
     shift,
@@ -227,6 +228,17 @@ def test_general_solve_rectangular():
     dense = rng.uniform(-1, 1, (3, 2))
     emb = embed(sparse_of(dense), np.zeros(3))
     assert emb.P.shape == (3 + emb.J, 2 + emb.J)
+
+
+def test_general_solve_breakdown_report_is_sized_by_original_columns():
+    # column 1 is zero, so the embedded 4 x 3 system breaks down; the report
+    # still holds one entry per column of A, not m1 + J or m2 + J
+    A = from_triplets(3, 2, [(0, 0, 1.0), (1, 0, -2.0), (2, 0, 1.0)])
+    report = general_solve(A, [1.0, -2.0, 1.0])
+    assert report.status is SolveStatus.BREAKDOWN
+    assert "ZeroColumn" in report.diagnostic
+    assert report.x.shape == (2,)
+    assert np.all(np.isnan(report.x))
 
 
 def test_general_solve_explicit_start():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import nnasolve
 from nnasolve import (
     NegativeEntry,
+    NegativeInput,
+    NonFiniteValue,
     SplitMix64,
     NonPositiveRhs,
     SingularMatrix,
@@ -123,6 +125,16 @@ def test_shift_unshiftable_row():
 def test_shift_explicit_too_small():
     with pytest.raises(NonPositiveRhs):
         shift(identity(2), [-5.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "t, error",
+    [(-1.0, NegativeInput), (-math.inf, NegativeInput), (math.nan, NonFiniteValue), (math.inf, NonFiniteValue)],
+)
+def test_shift_explicit_t_outside_zero_to_inf(t, error):
+    # the rule SolverConfig applies to t_shift: 0 <= t < inf
+    with pytest.raises(error):
+        shift(identity(2), [1.0, 2.0], t)
 
 
 def test_shift_equivalence_between_valid_shifts():
@@ -269,6 +281,15 @@ def test_solve_breakdown_reports():
     report = nna_solve(empty_row, [1.0, 1.0])
     assert report.status is SolveStatus.BREAKDOWN
     assert "ZeroDenominator" in report.diagnostic
+
+
+def test_breakdown_report_is_sized_by_columns():
+    # 3 x 2 with column 1 zero: x has one entry per column, not per row
+    A = from_triplets(3, 2, [(0, 0, 1.0), (1, 0, 2.0), (2, 0, 1.0)])
+    report = nna_solve(A, [1.0, 2.0, 1.0])
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.x.shape == (2,)
+    assert np.all(np.isnan(report.x))
 
 
 def test_solve_nonfinite_mid_iteration_is_breakdown():
