@@ -302,11 +302,10 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
 
     One report iteration is one restart (one application of the k-step
     cycle); matvec_count carries the total number of products.  A restart
-    that ends on an invariant Krylov space (V has no column past H's last)
-    and still leaves x unchanged is GMRES's breakdown: H is singular there,
-    the space holds no better x, and every later restart would repeat this
-    one bit for bit, so the run ends as BREAKDOWN.  A zero step on a space
-    that is not invariant is stagnation; it runs on to max_iter.
+    that leaves x bit-identical ends the run as BREAKDOWN: restarts are
+    deterministic, so every later restart would repeat it.  That covers both
+    a singular H on an invariant Krylov space and a zero step on one that is
+    not (GMRES(1) on a rotation).
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
@@ -329,17 +328,13 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
         # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
         y = np.linalg.lstsq(H, rhs, rcond=None)[0]
         x_next = x + V[:, :steps] @ y
-        invariant = V.shape[1] == steps
         del V  # else it stays alive while the next restart builds its basis
         restarts += 1
-        if invariant and np.array_equal(x_next, x):
+        if np.array_equal(x_next, x):
             # r is unchanged too, so every later restart would repeat this one bit for bit
             trace.append(trace[-1])
             status = SolveStatus.BREAKDOWN
-            diagnostic = (
-                f"restart {restarts}: the Krylov space is invariant under A but its "
-                "least-squares step left x unchanged; every later restart would repeat it"
-            )
+            diagnostic = f"restart {restarts}: the least-squares step left x unchanged; every later one would repeat it"
             break
         x = x_next
         r = b - spmv(A, x)
@@ -352,7 +347,8 @@ def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig 
     """Restarted GMRES(k): Arnoldi + Hessenberg least squares, repeated.
 
     cfg.max_iter bounds the number of restarts.  GMRES may stagnate on
-    general matrices; that surfaces as MAX_ITERATIONS, not an error.
+    general matrices: a restart that cannot move x is a BREAKDOWN, slow
+    progress surfaces as MAX_ITERATIONS, neither as an error.
     """
     # looked up per call, not bound at import, so a wrapper patched onto
     # nnasolve.baselines.arnoldi_process sees every restart

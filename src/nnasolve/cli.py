@@ -1,7 +1,9 @@
 """Command-line front end: load or generate a problem, run solvers, emit traces.
 
-Exit codes: 0 all requested solvers converged (or settled at the minimal-KL
-point), 1 solver non-convergence, 2 input/parse error, 3 internal error.
+Exit codes: 0 all requested solvers converged or ended stagnated_min_kl (a
+certified minimal-KL point of a system with no solution; the note line gives
+the certificate), 1 solver non-convergence, 2 input/parse error, 3 internal
+error.
 
 Trace CSVs are written with the elapsed_ns column zeroed so identical runs
 produce byte-identical files; wall time appears in the summary instead.
@@ -43,19 +45,23 @@ from .sparse import SparseMatrix, as_vector, from_arrays, spmv
 
 class _Solver(NamedTuple):
     solve: Callable[..., SolveReport]
+    # check: sufficient conditions for convergence on a square matrix, each a
+    # (key of cmd_check's measured properties, name) pair; any one suffices
+    guaranteed_by: tuple[tuple[str, str], ...]
     takes_t: bool = False  # one run per --t value
     needs_k: bool = False  # --k is the restart length
+    rectangular: bool = False  # also solves non-square systems
 
 
 SOLVERS = {
-    "nna": _Solver(nna_solve, takes_t=True),
-    "general": _Solver(general_solve, takes_t=True),
-    "jacobi": _Solver(jacobi_solve),
-    "gauss-seidel": _Solver(gauss_seidel_solve),
-    "cg": _Solver(cg_solve),
-    "gmres": _Solver(gmres_restarted, needs_k=True),
-    "minres": _Solver(minres_solve, needs_k=True),
-    "normal-cg": _Solver(normal_equation_solve),
+    "nna": _Solver(nna_solve, (("nonneg", "nonnegative entries"),), takes_t=True, rectangular=True),
+    "general": _Solver(general_solve, (("always", "always"),), takes_t=True, rectangular=True),
+    "jacobi": _Solver(jacobi_solve, (("dd", "diagonal dominance"),)),
+    "gauss-seidel": _Solver(gauss_seidel_solve, (("dd", "diagonal dominance"), ("spd", "SPD"))),
+    "cg": _Solver(cg_solve, (("spd", "SPD"),)),
+    "gmres": _Solver(gmres_restarted, (("pd", "positive definiteness"),), needs_k=True),
+    "minres": _Solver(minres_solve, (("sym", "symmetry"),), needs_k=True),
+    "normal-cg": _Solver(normal_equation_solve, (("always", "always"),), rectangular=True),
 }
 _SHIFTING = "/".join(name for name, entry in SOLVERS.items() if entry.takes_t)
 _RESTARTED = "/".join(name for name, entry in SOLVERS.items() if entry.needs_k)
@@ -196,19 +202,6 @@ def cmd_solve(args) -> int:
     return 0 if all(r.status in _OK_STATUSES for _, r in runs) else 1
 
 
-_GUARANTEE_NOTES = {
-    "nna (via embedding)": lambda info: (True, "always"),
-    "jacobi": lambda info: (info["dd"], "diagonally dominant" if info["dd"] else "requires diagonal dominance"),
-    "gauss-seidel": lambda info: (
-        info["dd"] or info["spd"],
-        "diagonally dominant" if info["dd"] else ("SPD" if info["spd"] else "requires diagonal dominance or SPD"),
-    ),
-    "cg": lambda info: (info["spd"], "SPD" if info["spd"] else "requires SPD"),
-    "minres": lambda info: (info["sym"], "symmetric" if info["sym"] else "requires symmetry"),
-    "gmres": lambda info: (info["pd"], "positive definite" if info["pd"] else "positive definiteness not certified"),
-}
-
-
 def _positive_definite_certificate(A: SparseMatrix) -> bool:
     """Gershgorin certificate on the symmetric part: dominant with positive
     diagonal implies the quadratic form is positive definite."""
@@ -227,10 +220,11 @@ def _positive_definite_certificate(A: SparseMatrix) -> bool:
 
 def cmd_check(args) -> int:
     A = read_matrix_market(args.path)
+    print(f"file: {args.path}")
+    print(f"size: {A.nrows} x {A.ncols}, nnz {A.nnz}")
     if A.nrows != A.ncols:
-        print(f"file: {args.path}")
-        print(f"size: {A.nrows} x {A.ncols}, nnz {A.nnz}")
-        print("matrix is rectangular; only nna/general apply")
+        names = "/".join(name for name, entry in SOLVERS.items() if entry.rectangular)
+        print(f"matrix is rectangular; only {names} apply")
         return 0
     dom = dominance_class(A)
     diag = A.diagonal()
@@ -238,18 +232,18 @@ def cmd_check(args) -> int:
     dominant = dom.classification in (Dominance.STRICTLY_DOMINANT, Dominance.IRREDUCIBLY_DOMINANT)
     pd = _positive_definite_certificate(A)
     spd = dom.symmetric and pd
-    info = {"dd": dominant, "spd": spd, "sym": dom.symmetric, "pd": pd}
+    nonneg = A.values.min(initial=0.0) >= 0.0
+    info = {"dd": dominant, "spd": spd, "sym": dom.symmetric, "pd": pd, "nonneg": nonneg, "always": True}
 
-    print(f"file: {args.path}")
-    print(f"size: {A.nrows} x {A.ncols}, nnz {A.nnz}")
     print(f"dominance: {dom.classification.value}")
     print(f"symmetric: {'yes' if dom.symmetric else 'no'}")
     if zero_diag:
         print(f"warning: {zero_diag} zero diagonal entries; jacobi/gauss-seidel are undefined")
     print("guaranteed convergence:")
-    for name, judge in _GUARANTEE_NOTES.items():
-        ok, why = judge(info)
-        print(f"  {name:<20} {'yes' if ok else 'no':<4} ({why})")
+    for name, entry in SOLVERS.items():
+        met = [why for key, why in entry.guaranteed_by if info[key]]
+        why = met[0] if met else "requires " + " or ".join(why for _, why in entry.guaranteed_by)
+        print(f"  {name:<20} {'yes' if met else 'no':<4} ({why})")
     return 0
 
 

@@ -54,11 +54,11 @@ __all__ = [
     "shift",
 ]
 
-_KL_FLOOR = 1e-300  # guards relative-drop ratios once the divergence underflows
 _MAX_AUTO_RETRIES = 6
-# stagnation: the relative KL drop stays below this for this many iterations
-_STAGNATION_REL_DELTA = 1e-12
-_STAGNATION_WINDOW = 50
+# stagnated_min_kl: on every iterate n with (n + 1) % stride == 0, the duality
+# gap bound at x_(n-1) is at most this share of its divergence
+_CERTIFICATE_STRIDE = 50
+_CERTIFICATE_TOL = 1e-4
 # the solve loop's block of ratio rows holds at most this many entries (32 KB)
 _BLOCK_ENTRIES = 4096
 # rate_certificate inverts the rescaled matrix densely, so only up to this size
@@ -78,9 +78,8 @@ class SolverConfig:
 
     eps_tol None means the hybrid default 1e-8 * (1 + ||b||_2).  t_shift None
     selects the automatic positivity shift; any float >= 0 is used verbatim.
-    Stagnation fires when the KL trace drops by a relative factor below
-    1e-12 for 50 consecutive iterations while the residual is still above
-    tolerance.
+    stagnated_min_kl rests on a duality gap certificate checked every 50
+    iterations (see nna_solve); it has no knob here.
     """
 
     eps_tol: float | None = None
@@ -355,16 +354,23 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     a preallocated block, and the update through _update, which nna_step
     shares.  The rows form blocks.  A block ends at the first row whose
     residual reaches the gate, or once it holds width rows; under that bound
-    stagnation and max_iter can only fire on a block's last row.  There one
-    reduction gives every row's divergence sum q log c, the typed checks of
-    _ratio and kl_divergence run only on a row whose divergence is not
+    the certificate and max_iter can only fire on a block's last row.  There
+    one reduction gives every row's divergence sum q log c, the typed checks
+    of _ratio and kl_divergence run only on a row whose divergence is not
     finite, and the recheck and the stopping rules are applied in row order.
     So the run stops on the row a row-by-row check would, and no product is
     computed past it.  A block holds at most _BLOCK_ENTRIES ratio entries, so
-    it stays in cache; at m = 10 the stagnation window (50 rows) bounds it
+    it stays in cache; at m = 10 the certificate stride (50 rows) bounds it
     first.  The arithmetic matches nna_step and kl_divergence bit for bit:
     sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector, and each
     row of the block reduction is what np.sum computes on that row.
+
+    Certificate (Csiszar & Tusnady 1984): for x on the simplex g . x = 1 with
+    g = M^T (q / M x), so by convexity gap = max_j g_j - 1 >= D(x) - D*.  As
+    x_n = x_(n-1) * g(x_(n-1)), the gap at x_(n-1) is max(x_n / x_(n-1)) - 1.
+    gap <= _CERTIFICATE_TOL * D(x_(n-1)) gives D* > 0 (no solution) and
+    D(x_n) - D* <= gap; on a consistent system D* = 0, so D <= gap and the
+    rule cannot fire, and the 2^-52 floor keeps a rounded fixed point out.
     """
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
@@ -384,20 +390,20 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
 
     max_iter = cfg.max_iter
     cap = max(1, _BLOCK_ENTRIES // max(1, q.size))
-    block = np.empty((min(cap, _STAGNATION_WINDOW, max_iter + 1), q.size))
+    block = np.empty((min(cap, _CERTIFICATE_STRIDE, max_iter + 1), q.size))
     rows = list(block)  # views, made once
     # looked up once: the row body is a handful of numpy calls, so each
     # attribute or global lookup it saves is a measurable share of it
     a_tilde, b_total = system.a_tilde, system.b_total
     sqrt, divide = math.sqrt, np.divide
-    gate, streak, prev_kl, failed_rechecks = eps, 0, None, 0
+    gate, failed_rechecks, diagnostic = eps, 0, None
     # typed buffers: 8 bytes an iterate, not a float object and its pointer
     res_trace, kl_trace = array("d"), array("d")
     products: list[np.ndarray] = []
     n = k = 0  # the iterate, and its row in the open block
     while True:
         if k == 0:
-            width = min(_STAGNATION_WINDOW - streak, max_iter - n + 1, cap)
+            width = min(_CERTIFICATE_STRIDE - n % _CERTIFICATE_STRIDE, max_iter - n + 1, cap)
         b_n = spmv(a_tilde, xt)
         d = b_n - q if tie is None else original(b_n - q)
         resid = b_total * sqrt(d.dot(d))
@@ -428,22 +434,20 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
                     break
                 failed_rechecks += 1
                 gate = resid * eps / exact
-            # iterate 0's entry is taken at its normalized start, not at the
-            # iterate the loop holds, so the streak starts at iterate 1
-            for kl in kls[1:] if k == n + 1 else kls:
-                if prev_kl is not None:
-                    drop = (prev_kl - kl) / max(prev_kl, _KL_FLOOR)
-                    streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
-                prev_kl = kl
-            if streak >= _STAGNATION_WINDOW:
-                status = SolveStatus.STAGNATED_MIN_KL
-                break
+            if (n + 1) % _CERTIFICATE_STRIDE == 0:
+                # the stride keeps n >= 2, so x_(n-1) is on the simplex
+                gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
+                kl = kl_trace[n - 1]
+                if gap <= _CERTIFICATE_TOL * kl:
+                    status = SolveStatus.STAGNATED_MIN_KL
+                    diagnostic = f"certificate at iterate {n - 1}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
+                    break
             if n >= max_iter:
                 status = SolveStatus.MAX_ITERATIONS
                 break
             products.clear()
             k = 0
-        xt = _update(system, xt, c_n)
+        x_prev, xt = xt, _update(system, xt, c_n)
         n += 1
 
     if status is not SolveStatus.CONVERGED:
@@ -458,6 +462,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
         # one product per iterate and one per update, the recomputed residual
         # of the returned x, and one per failed recheck
         matvec_count=2 * n + 2 + failed_rechecks,
+        diagnostic=diagnostic,
         t_shift=t,
     )
 
@@ -467,8 +472,9 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
 
     b may have any sign (the shift is applied internally); the returned x is
     un-shifted.  Terminates when ||A x_n - b||_2 <= eps_tol (converged), at
-    max_iter, or when the divergence trace stagnates, which on systems with
-    no solution signals arrival at the minimal-KL point.  When the automatic
+    max_iter, or as stagnated_min_kl once the EM duality gap certifies that
+    the system has no solution and x_n is within 1e-4 D of the minimal
+    divergence D*; the diagnostic gives D and the gap.  When the automatic
     shift was engaged (some b_i <= 0) and the run stagnates, the shift is
     doubled and the solve retried a bounded number of times, keeping the best
     attempt; its matvec_count sums the products of every attempt.  Explicit

@@ -174,11 +174,15 @@ def test_gmres_positive_definite_nonsymmetric_small_k():
 
 
 def test_gmres_can_stagnate():
+    # GMRES(1) on a rotation: H = [[0], [1]], so the step is zero on a Krylov
+    # space that is not invariant, and every restart would repeat the first
     report = gmres_restarted(
         sparse_of([[0.0, 1.0], [-1.0, 0.0]]), [1.0, 1.0], k=1, cfg=SolverConfig(eps_tol=1e-10, max_iter=25)
     )
-    assert report.status is SolveStatus.MAX_ITERATIONS
-    assert report.residual_trace[-1] == pytest.approx(report.residual_trace[0])
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic.startswith("restart 1:")
+    assert report.iterations == 1 and report.matvec_count == 2
+    assert report.residual_trace[-1] == report.residual_trace[0]
 
 
 def test_singular_hessenberg_stops_at_the_restart_that_cannot_move():

@@ -278,6 +278,39 @@ def test_check_rectangular(tmp_path, capsys):
     assert "rectangular" in capsys.readouterr().out
 
 
+def test_check_rectangular_names_every_solver_that_runs(tmp_path, capsys):
+    # 3 x 2: the named solvers solve the file, the others reject it as input
+    mtx = tmp_path / "tall.mtx"
+    write_matrix_market(sparse_of([[1.0, 2.0], [3.0, 1.0], [1.0, 1.0]]), mtx)
+    assert run(["check", str(mtx)]) == 0
+    assert "matrix is rectangular; only nna/general/normal-cg apply" in capsys.readouterr().out
+    for solver, code in [("nna", 0), ("general", 0), ("normal-cg", 0), ("jacobi", 2), ("gmres", 2)]:
+        argv = ["solve", "--matrix", str(mtx), "--rhs", "ones", "--solver", solver, "--k", "2"]
+        assert run(argv + ["--out", str(tmp_path)]) == code, solver
+
+
+def test_inconsistent_nonnegative_system_exits_0_with_its_certificate(tmp_path, capsys):
+    # no x solves this 3 x 2 system; nna settles at the minimal-KL point, and
+    # the note gives the divergence and the gap that certify it
+    rng = np.random.default_rng(6)
+    mtx, vec = tmp_path / "m.mtx", tmp_path / "b.txt"
+    write_matrix_market(sparse_of(rng.uniform(0.2, 1.0, (3, 2))), mtx)
+    vec.write_text(" ".join(f"{v:.17g}" for v in rng.uniform(0.5, 1.5, 3)))
+    argv = ["solve", "--matrix", str(mtx), "--rhs", str(vec), "--solver", "nna", "--tol", "1e-12"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "stagnated_min_kl" in out
+    assert "note: certificate at iterate 1448: D = " in out
+
+
+def test_capped_consistent_system_exits_1(tmp_path, capsys):
+    # c06's instance converges slowly: 200 iterations hold four checks of the
+    # certificate, and none fires on a system that has a solution
+    argv = ["solve", "--gen", "dense-uniform:m=10", "--solver", "nna", "--t", "10", "--tol", "1e-12"]
+    assert run(argv + ["--max-iter", "200", "--out", str(tmp_path)]) == 1
+    assert "max_iterations" in capsys.readouterr().out
+
+
 def test_check_certifies_nonsymmetric_positive_definite(tmp_path, capsys):
     # symmetric part strictly dominant with positive diagonal => PD,
     # so gmres carries a guarantee even though the matrix is nonsymmetric

@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +40,9 @@ from nnasolve import (
     rescale,
     shift,
     spmv,
+    spmv_transpose,
 )
-from nnasolve.nna import _BLOCK_ENTRIES, _STAGNATION_REL_DELTA, _STAGNATION_WINDOW, _norm
+from nnasolve.nna import _BLOCK_ENTRIES, _CERTIFICATE_STRIDE, _CERTIFICATE_TOL, _norm
 from conftest import consistent_nonneg, identity, sparse_of
 
 
@@ -318,7 +321,7 @@ def reference_solve(A, b, cfg):
         return float(np.linalg.norm(spmv(A, system.recover(x_tilde) - t) - b))
 
     res, kls = [], []
-    gate, streak, prev_kl, n, products = cfg.eps_tol, 0, None, 0, 0
+    gate, n, products = cfg.eps_tol, 0, 0
     while True:
         b_n = spmv(system.a_tilde, xt)
         products += 1
@@ -334,17 +337,16 @@ def reference_solve(A, b, cfg):
             if exact <= cfg.eps_tol:
                 return SolveStatus.CONVERGED, n, res, kls, products, system.recover(xt) - t
             gate = tracked * cfg.eps_tol / exact
-        if n >= 2:  # iterate 0 is off the simplex: compare iterates from 1 on
-            drop = (prev_kl - kl) / max(prev_kl, 1e-300)
-            streak = streak + 1 if drop < _STAGNATION_REL_DELTA else 0
-            if streak >= _STAGNATION_WINDOW:
+        if n >= 2 and (n + 1) % _CERTIFICATE_STRIDE == 0:
+            # x_n = x_(n-1) * g(x_(n-1)): the gap bound at x_(n-1) from the ratio
+            gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
+            if gap <= _CERTIFICATE_TOL * kls[n - 1]:
                 status = SolveStatus.STAGNATED_MIN_KL
                 break
-        prev_kl = kl
         if n >= cfg.max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
-        xt = nna_step(system, xt)
+        x_prev, xt = xt, nna_step(system, xt)
         products += 1
         n += 1
     res[-1] = exact_residual(xt)
@@ -362,8 +364,7 @@ def _dense_shifted_case():
 
 
 def _inconsistent_case():
-    # the final stagnation streak starts on iterate 2,059, inside a block
-    # (see test_stagnation_streak_starts_inside_a_block)
+    # the certificate first holds at iterate 1,449, after 28 checks that failed
     rng = np.random.default_rng(6)
     return sparse_of(rng.uniform(0.2, 1.0, (3, 2))), rng.uniform(0.5, 1.5, 3), SolverConfig(
         eps_tol=1e-12, t_shift=0.0, max_iter=200_000
@@ -413,32 +414,45 @@ def test_solve_loop_matches_plain_kernels(case, expected):
     np.testing.assert_array_equal(report.x, x)
 
 
-def test_stagnation_streak_starts_inside_a_block():
-    # the inconsistent case above must keep exercising a streak that starts
-    # inside a block, so that the next block's width is cut to the rest of
-    # the window; the residual never reaches the gate, so the blocks are
-    # those of the width rule, replayed here from the divergence trace
+@pytest.mark.parametrize("m", [100, 300], ids=["blocks-of-40", "blocks-of-13"])
+def test_certificate_is_tested_only_every_stride(m):
+    # one column: every iterate from 1 on is the minimal-KL point (gap 0,
+    # floored at 2^-52), so the run stops on the first iterate n with
+    # (n + 1) % 50 == 0, not on an earlier block end and not one iterate
+    # later (the same system at m = 2, one block per stride, is the second
+    # case of test_stagnation_streak_skips_the_start_off_the_simplex)
+    assert _BLOCK_ENTRIES // m < _CERTIFICATE_STRIDE
+    A = from_arrays(m, 1, np.arange(m), np.zeros(m, dtype=np.int64), np.ones(m))
+    b = np.arange(1.0, m + 1.0)
+    report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0))
+    assert report.status is SolveStatus.STAGNATED_MIN_KL
+    assert report.iterations == _CERTIFICATE_STRIDE - 1
+    capped = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=_CERTIFICATE_STRIDE - 2))
+    assert capped.status is SolveStatus.MAX_ITERATIONS
     A, b, cfg = _inconsistent_case()
     report = nna_solve(A, b, cfg=cfg)
     assert report.status is SolveStatus.STAGNATED_MIN_KL
-    assert report.residual_trace.min() > cfg.eps_tol
-    kls = report.kl_trace
-    drops = (kls[:-1] - kls[1:]) / np.maximum(kls[:-1], 1e-300)
-    start = int(np.flatnonzero(~(drops < _STAGNATION_REL_DELTA))[-1]) + 2
-    assert report.iterations - start + 1 == _STAGNATION_WINDOW
-    assert start == 2059
-    # streak[n]: the streak a block that opens on iterate n starts from, the
-    # count of small drops from iterate 1 up to iterate n - 1
-    streak = [0, 0, 0]
-    for drop in drops[1:]:
-        streak.append(streak[-1] + 1 if drop < _STAGNATION_REL_DELTA else 0)
-    cap = _BLOCK_ENTRIES // A.nrows
-    starts, first = [], 0
-    while first <= report.iterations:
-        starts.append(first)
-        first += min(_STAGNATION_WINDOW - streak[first], cfg.max_iter - first + 1, cap)
-    assert first - 1 == report.iterations  # the run ends on a block's last row
-    assert start not in starts
+    assert (report.iterations + 1) % _CERTIFICATE_STRIDE == 0
+
+
+def test_stagnated_report_carries_a_certificate_that_recomputes():
+    # the diagnostic names D(q, M x) and the gap max_j g_j - 1 at x_(n-1);
+    # both recompute from x_(n-1) with plain products, and they certify that
+    # the minimal divergence is positive, so the system has no solution
+    A, b, cfg = _inconsistent_case()
+    report = nna_solve(A, b, cfg=cfg)
+    n = report.iterations
+    found = re.fullmatch(r"certificate at iterate (\d+): D = (\S+), gap = max g - 1 = (\S+)", report.diagnostic)
+    assert int(found[1]) == n - 1
+    kl, gap = float(found[2]), float(found[3])
+    before = nna_solve(A, b, cfg=replace(cfg, max_iter=n - 1))
+    system = rescale(A, b)
+    x = tilde_of(before.x, A, system.b_total)
+    Mx = spmv(system.a_tilde, x)
+    g = spmv_transpose(system.a_tilde, system.b_tilde / Mx)
+    assert kl == pytest.approx(kl_divergence(system.b_tilde, Mx), rel=1e-6)
+    assert gap == pytest.approx(g.max() - 1.0, rel=1e-3)
+    assert 0.0 < gap <= _CERTIFICATE_TOL * kl
 
 
 def test_stagnation_streak_skips_the_start_off_the_simplex():
@@ -452,15 +466,15 @@ def test_stagnation_streak_skips_the_start_off_the_simplex():
     x_hat = system.col_scale / system.col_scale.sum()
     start = kl_divergence(system.b_tilde, spmv(system.a_tilde, x_hat))
     assert report.kl_trace[0] == pytest.approx(start, rel=1e-12)
-    # and the streak starts at iterate 1: here every iterate from 1 on is the
-    # fixed point, so the window fills with the drop from iterate 50 to 51,
-    # not one iterate earlier with the drop from iterate 0
+    # and the certificate is never taken at iterate 0: here every iterate from
+    # 1 on is the minimal-KL point, but x_1 / x_0 reads a gap of 0.5, so a
+    # check at n = 1 would not fire; the first check, at n = 49, does
     report = nna_solve(
         from_triplets(2, 1, [(0, 0, 1.0), (1, 0, 1.0)]), [1.0, 2.0],
         cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0),
     )
     assert report.status is SolveStatus.STAGNATED_MIN_KL
-    assert report.iterations == _STAGNATION_WINDOW + 1
+    assert report.iterations == _CERTIFICATE_STRIDE - 1
 
 
 def test_solve_memory_per_iterate_is_the_two_traces():
@@ -524,9 +538,10 @@ def test_solve_auto_shift_recovers_signed_solution():
 
 
 def test_solve_auto_shift_retries_count_every_attempt():
-    # x* = (3, -3) needs a shift above 3: t = 0.317, 0.634, 1.267 and 2.535
-    # stagnate (541, 1171, 3089 and 30226 iterations) before t = 5.069
-    # converges in 9201; matvec_count sums the products of all five attempts
+    # x* = (3, -3) needs a shift above 3: at t = 0.317, 0.634, 1.267 and 2.535
+    # the shifted system has no solution, and the certificate stops each
+    # attempt (199, 449, 1299 and 9799 iterations) before t = 5.069 converges
+    # in 9201; matvec_count sums the products of all five attempts
     A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
     b = spmv(A, np.array([3.0, -3.0]))
     report = nna_solve(A, b)
@@ -534,7 +549,7 @@ def test_solve_auto_shift_retries_count_every_attempt():
     assert report.iterations == 9201
     recomputed = float(np.linalg.norm(A.to_dense() @ report.x - b))
     assert recomputed <= default_tolerance(b)
-    assert report.matvec_count == 88_466
+    assert report.matvec_count == 41_904
     # the report names the kept attempt's shift and counts every attempt
     assert report.t_shift == pytest.approx(5.069, rel=1e-3)
     assert report.attempts == 5
@@ -726,6 +741,41 @@ def test_solve_property_divergence_never_rises(system, max_iter):
     # divergence between distributions and may even be negative
     kls = report.kl_trace[1:]
     assert np.all(kls[1:] <= kls[:-1] + 1e-12 * (1.0 + np.abs(kls[:-1])))
+
+
+def _simplex_point(draw, m, lo):
+    x = np.array(draw(st.lists(st.floats(lo, 1.0), min_size=m, max_size=m)))
+    x[draw(st.integers(0, m - 1))] += 1.0  # never all zero
+    return x / x.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=positive_systems(), data=st.data())
+def test_certificate_property_gap_bounds_every_point_of_the_simplex(system, data):
+    # with g = M^T (q / M x), g . x = 1 on the simplex, so by convexity
+    # D(q, M y) >= D(q, M x) + 1 - max_j g_j for every y there: the gap
+    # max_j g_j - 1 that stops nna_solve bounds D(x) - D* from above
+    A, b = system
+    rescaled = rescale(A, b)
+    M, q = rescaled.a_tilde, rescaled.b_tilde
+    x = _simplex_point(data.draw, A.ncols, 1e-3)
+    y = _simplex_point(data.draw, A.ncols, 0.0)  # may sit on the boundary
+    Mx = spmv(M, x)
+    gap = float(spmv_transpose(M, q / Mx).max()) - 1.0
+    assert gap >= -1e-12
+    assert kl_divergence(q, spmv(M, y)) >= kl_divergence(q, Mx) - gap - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=positive_systems(), data=st.data())
+def test_certificate_property_never_fires_on_a_consistent_system(system, data):
+    # b = A x* with x* > 0 has the minimal divergence 0, which the
+    # certificate's D* > 0 excludes
+    A, _ = system
+    x_star = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=A.ncols, max_size=A.ncols)))
+    b = spmv(A, x_star)
+    report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=1000))
+    assert report.status in (SolveStatus.CONVERGED, SolveStatus.MAX_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------
