@@ -48,7 +48,8 @@ _SYMMETRY_RTOL = 1e-12  # is_symmetric: |a_ij - a_ji| <= this * max(|a_ij|, |a_j
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _setup(A: SparseMatrix, b, x0, cfg, square=True):
+def _setup(A: SparseMatrix, b, x0, cfg, square=True, symmetric=False):
+    """Validate the shape, b and x0, then symmetry if asked; returns (b, x, cfg, eps)."""
     if square and A.nrows != A.ncols:
         raise NotSquare(f"solver requires a square matrix, got {A.nrows}x{A.ncols}")
     b = as_vector(b, "b")
@@ -57,6 +58,8 @@ def _setup(A: SparseMatrix, b, x0, cfg, square=True):
     x = np.zeros(A.ncols) if x0 is None else as_vector(x0, "x0").copy()
     if x.shape != (A.ncols,):
         raise DimensionMismatch(f"x0 has length {x.size}, expected {A.ncols}")
+    if symmetric and not is_symmetric(A):
+        raise NotSymmetric("solver requires a symmetric matrix")
     cfg = cfg if cfg is not None else SolverConfig()
     eps = cfg.eps_tol if cfg.eps_tol is not None else default_tolerance(b)
     return b, x, cfg, eps
@@ -168,10 +171,15 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
 
     value_fn maps the recurrence state (x, r) to the traced/stopping residual
     value; plain CG passes ||r||, the normal-equation wrapper substitutes the
-    original-system residual.  Returns (x, trace, status, matvecs, diagnostic).
+    original-system residual.  From a zero x the residual is rhs itself, so
+    the operator is not applied to it.  Returns (x, trace, status, applies,
+    diagnostic), applies counting the applications of apply_op.
     """
-    r = rhs - apply_op(x)
-    matvecs = 1
+    if x.any():
+        r = rhs - apply_op(x)
+        applies = 1
+    else:
+        r, applies = rhs, 0
     trace = array("d", [value_fn(x, r)])
     p = r.copy()
     rs = float(r @ r)
@@ -179,7 +187,7 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
     diagnostic = None
     while (status := _terminal(trace[-1], eps, n, max_iter)) is None:
         Ap = apply_op(p)
-        matvecs += 1
+        applies += 1
         pAp = float(p @ Ap)
         if not (math.isfinite(rs) and math.isfinite(pAp)):
             status = SolveStatus.BREAKDOWN
@@ -198,7 +206,7 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
         p = r + beta * p
         rs = rs_new
         n += 1
-    return x, trace, status, matvecs, diagnostic
+    return x, trace, status, applies, diagnostic
 
 
 def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -208,10 +216,7 @@ def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> So
     definiteness is assumed and its violation surfaces as IndefiniteBreakdown.
     """
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg)
-    if not is_symmetric(A):
-        raise NotSymmetric("cg_solve requires a symmetric matrix")
-
+    b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=True)
     x, trace, status, matvecs, diagnostic = _cg_core(
         lambda v: spmv(A, v),
         b,
@@ -227,21 +232,27 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
     """CG applied to A^T A x = A^T b without forming A^T A.
 
     The trace and stopping test use the original residual ||b - A x||_2,
-    recomputed with one product by A per trace entry, which matvec_count
-    includes next to the two products per CG step and the product A^T b.
+    recomputed with one product by A per trace entry at a nonzero x (at a
+    zero x it is ||b||).  matvec_count counts those products, the two of each
+    CG step and the product A^T b.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
+    residual_products = 0
 
     def apply_op(v):
         return spmv_transpose(A, spmv(A, v))
 
     def value_fn(x, r):
+        nonlocal residual_products
+        if not x.any():
+            return _norm(b)
+        residual_products += 1
         return _norm(b - spmv(A, x))
 
     rhs = spmv_transpose(A, b)
-    x, trace, status, matvecs, diagnostic = _cg_core(apply_op, rhs, x, eps, cfg.max_iter, value_fn)
-    return _report(status, x, trace, started, 2 * matvecs + len(trace) + 1, diagnostic)
+    x, trace, status, applies, diagnostic = _cg_core(apply_op, rhs, x, eps, cfg.max_iter, value_fn)
+    return _report(status, x, trace, started, 1 + 2 * applies + residual_products, diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +308,7 @@ def lanczos_process(A: SparseMatrix, r0, k: int) -> tuple[np.ndarray, np.ndarray
     return np.column_stack(vs), H
 
 
-def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
+def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> SolveReport:
     """Shared outer loop: restart the projection built by process until tolerance.
 
     One report iteration is one restart (one application of the k-step
@@ -305,14 +316,18 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process) -> SolveReport:
     that leaves x bit-identical ends the run as BREAKDOWN: restarts are
     deterministic, so every later restart would repeat it.  That covers both
     a singular H on an invariant Krylov space and a zero step on one that is
-    not (GMRES(1) on a rotation).
+    not (GMRES(1) on a rotation).  From a zero x the residual is b itself, so
+    no product is made for it.
     """
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=symmetric)
     if k < 1:
         raise DimensionMismatch("restart length k must be >= 1")
-    r = b - spmv(A, x)
-    matvecs = 1
+    if x.any():
+        r = b - spmv(A, x)
+        matvecs = 1
+    else:
+        r, matvecs = b, 0
     trace = array("d", [_norm(r)])
     restarts = 0
     diagnostic = None
@@ -362,9 +377,7 @@ def minres_solve(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | N
     three-term recurrence, so each cycle costs k (2 nnz + 9 m) flops plus a
     small least-squares solve.
     """
-    if not is_symmetric(A):
-        raise NotSymmetric("minres_solve requires a symmetric matrix")
-    return _restarted_minimum_residual(A, b, x0, k, cfg, lanczos_process)
+    return _restarted_minimum_residual(A, b, x0, k, cfg, lanczos_process, symmetric=True)
 
 
 # ---------------------------------------------------------------------------

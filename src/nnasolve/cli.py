@@ -12,7 +12,6 @@ produce byte-identical files; wall time appears in the summary instead.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -150,12 +149,7 @@ def cmd_solve(args) -> int:
         print(f"error: --k is required when {_RESTARTED} is selected", file=sys.stderr)
         return 2
 
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("NNA_DEFAULT_TOL")
-        if env is not None:
-            tol = float(env)
-    cfg = SolverConfig(eps_tol=tol, max_iter=args.max_iter)
+    cfg = SolverConfig(eps_tol=args.tol, max_iter=args.max_iter)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gen", help="generator spec, e.g. dense-uniform:m=10 or sparse-random:m=1000,offdiag=5000,diag-hi=100")
     solve.add_argument("--rhs", help="'ones' (b = A*1), 'from-solution:uniform', or a vector file")
     solve.add_argument("--solver", required=True, help=f"comma list of {', '.join(SOLVERS)}")
-    solve.add_argument("--tol", type=float, default=None, help="stopping tolerance (default 1e-8*(1+||b||); env NNA_DEFAULT_TOL overrides)")
+    solve.add_argument("--tol", type=float, default=None, help="stopping tolerance (default 1e-8*(1+||b||))")
     solve.add_argument("--t", type=float, action="append", help=f"positivity shift for {_SHIFTING}; repeat for several runs")
     solve.add_argument("--max-iter", type=int, default=100_000)
     solve.add_argument("--k", type=int, default=None, help=f"restart length for {_RESTARTED}")

@@ -111,7 +111,8 @@ def general_solve(
     """Solve A x = b for arbitrary-sign A: embed, run the nonnegative solver, extract.
 
     With x0 given, the embedded start is (x0, -x0 restricted to the tied
-    columns); the default start is all ones, which is already positive.  The
+    columns), which the automatic shift clears (see nna_solve); the default
+    start is all ones, which is already positive.  The
     report's residual trace and stopping test use the original system
     ||A x_n - b||_2, not the embedded one: each iteration maps the embedded
     residual it already holds through the tie block, which matches the

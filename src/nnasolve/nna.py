@@ -375,12 +375,10 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     t = shifted.t
     system = rescale(A, shifted.b_shifted)
     q = system.b_tilde
-    x_t = x_start + t
-    if np.any(x_t <= 0.0):
-        raise NegativeInput("x0 + t*1 must be positive; raise t or choose x0 > 0")
-    # iterate 0 is the shifted start exactly as given; the first update lands
-    # on the probability simplex and every later iterate stays there
-    xt = x_t * system.col_scale / system.b_total
+    # iterate 0 is the shifted start exactly as given (_solve keeps it
+    # positive); the first update lands on the probability simplex and every
+    # later iterate stays there
+    xt = (x_start + t) * system.col_scale / system.b_total
 
     def original(r):
         return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
@@ -474,14 +472,17 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     un-shifted.  Terminates when ||A x_n - b||_2 <= eps_tol (converged), at
     max_iter, or as stagnated_min_kl once the EM duality gap certifies that
     the system has no solution and x_n is within 1e-4 D of the minimal
-    divergence D*; the diagnostic gives D and the gap.  When the automatic
-    shift was engaged (some b_i <= 0) and the run stagnates, the shift is
-    doubled and the solve retried a bounded number of times, keeping the best
+    divergence D*; the diagnostic gives D and the gap.  The automatic shift
+    is raised to -2 min(x0) (to 1 if min(x0) = 0) when it would leave an
+    entry of x0 + t*1 at or below 0; an explicit t that does raises
+    NegativeInput.  When the
+    automatic shift is positive and the run stagnates, the shift is doubled
+    and the solve retried a bounded number of times, keeping the best
     attempt; its matvec_count sums the products of every attempt.  Explicit
-    t and positive-b runs are never retried.  Setup defects (zero column,
-    unshiftable row, zero row with positive b) and values that overflow
-    during the run come back as a BREAKDOWN report carrying a diagnostic
-    instead of an exception.
+    t runs, and unshifted runs (b > 0 and x0 > 0), are never retried.  Setup
+    defects (zero column, unshiftable row, zero row with positive b) and
+    values that overflow during the run come back as a BREAKDOWN report
+    carrying a diagnostic instead of an exception.
     """
     return _solve(A, b, x0, cfg, None)
 
@@ -501,8 +502,17 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
     x_start = np.ones(A.ncols) if x0 is None else as_vector(x0, "x0")
     if x_start.shape != (A.ncols,):
         raise DimensionMismatch(f"x0 has length {x_start.size}, expected {A.ncols}")
-
     auto = cfg.t_shift is None
+    low = float(x_start.min(initial=math.inf))
+    if low + shifted.t <= 0.0:
+        if not auto:
+            # general_solve starts each slack at -x0_j, so only a larger t helps there
+            raise NegativeInput(f"x0 + t*1 must be positive: raise t above {-low:g}")
+        # twice the start's deficit; a zero entry at t = 0 has none, and any
+        # t > 0 clears it; retries double from there
+        t_start = -2.0 * low if low < 0.0 else 1.0
+        shifted = ShiftedSystem(t_start, b_arr + t_start * shifted.a_row_sums, shifted.a_row_sums)
+
     best = None
     matvecs = 0
     attempt = 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import nnasolve
 from nnasolve import (
+    DimensionMismatch,
     Dominance,
     IndefiniteBreakdown,
     NotSquare,
@@ -181,7 +182,7 @@ def test_gmres_can_stagnate():
     )
     assert report.status is SolveStatus.BREAKDOWN
     assert report.diagnostic.startswith("restart 1:")
-    assert report.iterations == 1 and report.matvec_count == 2
+    assert report.iterations == 1 and report.matvec_count == 1
     assert report.residual_trace[-1] == report.residual_trace[0]
 
 
@@ -192,7 +193,7 @@ def test_singular_hessenberg_stops_at_the_restart_that_cannot_move():
     report = gmres_restarted(nilpotent, [1.0, 0.0], k=2, cfg=SolverConfig(max_iter=10_000))
     assert report.status is SolveStatus.BREAKDOWN
     assert report.diagnostic.startswith("restart 1:")
-    assert report.iterations == 1 and report.matvec_count == 2
+    assert report.iterations == 1 and report.matvec_count == 1
     assert np.all(np.isfinite(report.x))
     assert report.residual_trace.tolist() == [1.0, 1.0]
 
@@ -238,7 +239,7 @@ def test_huge_entries_with_representable_products_converge(solve):
     # A v0 = (sqrt(2) 1e308, 0) is representable, and so is the solution (1e-308, 0)
     report = solve(_huge(1e308), [1.0, 1.0], k=2, cfg=SolverConfig(max_iter=20))
     assert report.status is SolveStatus.CONVERGED
-    assert report.iterations == 1 and report.matvec_count == 4
+    assert report.iterations == 1 and report.matvec_count == 3
     np.testing.assert_allclose(report.x, [1e-308, 0.0], rtol=1e-12, atol=1e-320)
 
 
@@ -316,6 +317,24 @@ def test_minres_identity_and_indefinite():
 def test_minres_requires_symmetry():
     with pytest.raises(NotSymmetric):
         minres_solve(sparse_of([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0], k=2, cfg=CFG)
+
+
+_SHAPE_FIRST = [
+    cg_solve,
+    lambda A, b, x0=None: gmres_restarted(A, b, x0=x0, k=2),
+    lambda A, b, x0=None: minres_solve(A, b, x0=x0, k=2),
+]
+
+
+@pytest.mark.parametrize("solve", _SHAPE_FIRST, ids=["cg", "gmres", "minres"])
+def test_shape_b_and_x0_are_checked_before_symmetry(solve):
+    with pytest.raises(NotSquare):
+        solve(sparse_of([[1.0, 2.0], [0.0, 1.0], [3.0, 0.0]]), [1.0, 1.0, 1.0])
+    nonsymmetric = sparse_of([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch, match="b has length 3"):
+        solve(nonsymmetric, [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="x0 has length 3"):
+        solve(nonsymmetric, [1.0, 1.0], x0=[0.0, 0.0, 0.0])
 
 
 def test_minres_matches_gmres_per_restart_on_symmetric():
@@ -433,7 +452,8 @@ def test_normal_cg_identity_and_oracle():
 
 
 def test_normal_cg_counts_every_product(monkeypatch):
-    # the products of A^T b, of each CG step and of each traced residual
+    # the products of A^T b, of each CG step and of each traced residual but
+    # the first, which is ||b|| at the zero start
     calls = []
     for name in ("spmv", "spmv_transpose"):
         kernel = getattr(nnasolve.baselines, name)
@@ -445,7 +465,56 @@ def test_normal_cg_counts_every_product(monkeypatch):
         monkeypatch.setattr(nnasolve.baselines, name, counted)
     report = normal_equation_solve(sparse_of([[2.0, 1.0], [0.0, 1.0]]), [3.0, 1.0], cfg=CFG)
     assert report.status is SolveStatus.CONVERGED and report.iterations == 2
-    assert len(calls) == report.matvec_count == 10
+    assert len(calls) == report.matvec_count == 7
+
+
+_START_PRODUCTS = {
+    "gmres": (lambda A, b, x0, cfg: gmres_restarted(A, b, x0=x0, k=3, cfg=cfg), 1),
+    "minres": (lambda A, b, x0, cfg: minres_solve(A, b, x0=x0, k=3, cfg=cfg), 1),
+    "cg": (cg_solve, 1),
+    # A^T A x0 and the traced residual b - A x0
+    "normal-cg": (normal_equation_solve, 3),
+}
+
+
+def _count_products(monkeypatch):
+    calls = []
+    for name in ("spmv", "spmv_transpose"):
+        kernel = getattr(nnasolve.baselines, name)
+
+        def counted(A, v, kernel=kernel):
+            calls.append(v)
+            return kernel(A, v)
+
+        monkeypatch.setattr(nnasolve.baselines, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("start", ["none", "zero", "nonzero"])
+@pytest.mark.parametrize("solver", sorted(_START_PRODUCTS))
+def test_a_zero_start_makes_no_product(monkeypatch, solver, start):
+    # with x0 = 0 the residual b - A x0 is b, so only a nonzero start pays for it
+    solve, start_products = _START_PRODUCTS[solver]
+    dense = spd_dominant(np.random.default_rng(13), 12)
+    A, b = sparse_of(dense), np.random.default_rng(14).uniform(-1, 1, 12)
+    x0 = {"none": None, "zero": np.zeros(12), "nonzero": np.full(12, 0.5)}[start]
+    fixed = 1 if solver == "normal-cg" else 0  # A^T b
+    calls = _count_products(monkeypatch)
+
+    # max_iter = 0 stops at the start, before any step
+    report = solve(A, b, x0, SolverConfig(max_iter=0))
+    assert report.status is SolveStatus.MAX_ITERATIONS and report.iterations == 0
+    expected = fixed + (start_products if start == "nonzero" else 0)
+    assert len(calls) == report.matvec_count == expected
+    if start != "nonzero":
+        assert report.residual_trace.tolist() == [np.linalg.norm(b)]
+
+    calls.clear()
+    report = solve(A, b, x0, CFG)
+    assert report.status is SolveStatus.CONVERGED and report.iterations >= 1
+    assert len(calls) == report.matvec_count
+    assert all(v.any() for v in calls)  # no product by a zero vector
+    assert np.abs(report.x - np.linalg.solve(dense, b)).max() <= 1e-8
 
 
 def test_normal_cg_slower_than_gmres_on_graded():

@@ -194,13 +194,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run(["check", str(bad)]) == 2
 
 
-def test_env_default_tolerance(tmp_path, monkeypatch):
-    monkeypatch.setenv("NNA_DEFAULT_TOL", "1.0")
+def test_loose_tolerance_flag(tmp_path):
     code = run(
         [
             "solve",
             "--gen", "sparse-random:m=10,offdiag=20,diag-hi=30",
             "--solver", "nna",
+            "--tol", "1.0",
             "--out", str(tmp_path),
         ]
     )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nnasolve import (
     DimensionMismatch,
+    NegativeInput,
     SolveStatus,
     SolverConfig,
     consistency_defect,
@@ -251,6 +252,25 @@ def test_general_solve_explicit_start():
     )
     assert report.status is SolveStatus.CONVERGED
     assert np.abs(report.x - x_star).max() <= 1e-6
+
+
+_TIED = sparse_of([[3.0, -1.0], [1.0, 2.0]])  # x* = (1, 2) for b = (1, 5)
+
+
+@pytest.mark.parametrize("x0, t", [([10.0, 10.0], 20.0), ([100.0, 100.0], 200.0), ([-50.0, 3.0], 100.0)])
+def test_auto_shift_clears_the_embedded_start(x0, t):
+    # the slack of column 1 starts at -x0[1], below the auto shift's 5.12 in
+    # the first two cases; the shift becomes twice the start's deficit
+    report = general_solve(_TIED, [1.0, 5.0], x0=x0)
+    assert report.status is SolveStatus.CONVERGED
+    assert report.t_shift == t and report.attempts == 1
+    assert np.abs(report.x - [1.0, 2.0]).max() <= 1e-6
+
+
+def test_explicit_shift_below_the_embedded_start_raises():
+    # a positive x0 does not help: its slacks start at -x0
+    with pytest.raises(NegativeInput, match="raise t above 10"):
+        general_solve(_TIED, [1.0, 5.0], x0=[10.0, 10.0], cfg=SolverConfig(t_shift=5.0))
 
 
 def test_converged_run_has_small_tie_defect():

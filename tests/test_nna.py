@@ -26,6 +26,7 @@ from nnasolve import (
     UnshiftableRow,
     ZeroColumn,
     default_tolerance,
+    embed,
     from_arrays,
     from_triplets,
     gen_dense_uniform,
@@ -250,6 +251,56 @@ def test_solve_traces_robust_to_shift_value():
     for other in traces[1:]:
         assert np.abs(other - traces[0]).max() <= 2e-2 * np.abs(traces[0]).max()
     assert all(tr[-1] < tr[0] for tr in traces)
+
+
+# ---------------------------------------------------------------------------
+# the SART limit: with x = y + t*1, r = A 1 and s = A^T 1, one shifted step is
+# y' = y + (y + t) * A^T ((b - A y) / (A y + t r)) / s, which tends to the SART
+# step y + A^T ((b - A y) / r) / s (Andersen & Kak 1984) as t grows, at O(|y|/t)
+
+
+def _sart_step(A, b, y, r, s):
+    return y + spmv_transpose(A, (b - spmv(A, y)) / r) / s
+
+
+def test_shifted_step_tends_to_the_sart_step_as_one_over_t():
+    inst = gen_sparse_random(30, 120, 10.0, 3)
+    A, b = inst.A, inst.b
+    y = 1.3 * inst.x_star + 0.2
+    sart = _sart_step(A, b, y, spmv(A, np.ones(30)), A.col_sums)
+    deviations = []
+    for t in (1e2, 1e3, 1e4):
+        system = rescale(A, shift(A, b, t).b_shifted)
+        x_tilde = (y + t) * system.col_scale / system.b_total
+        step = system.recover(nna_step(system, x_tilde)) - t
+        deviations.append(np.linalg.norm(step - sart))
+    assert deviations[0] == pytest.approx(6.16e-3, rel=0.01)
+    for coarse, fine in zip(deviations, deviations[1:]):
+        assert 0.09 <= fine / coarse <= 0.11
+
+
+def test_auto_shifted_general_solve_runs_as_sart():
+    # the benchmark's mixed-sign recipe at m = 200: every embedded solve is
+    # shifted (c has J zeros), and the auto t (~1.7e4) is far above |x*| <= 1.5
+    inst = gen_sparse_random(200, 1000, 100.0, 0)
+    rows, cols, vals = inst.A.triplets()
+    off = np.flatnonzero(rows != cols)
+    flip = off[SplitMix64(1).uniform(off.size) < 0.2]
+    vals[flip] = -vals[flip]
+    A = from_arrays(200, 200, rows, cols, vals)
+    b = spmv(A, inst.x_star)
+    eps = 1e-4 * float(np.linalg.norm(b))
+    report = general_solve(A, b, cfg=SolverConfig(eps_tol=eps))
+    assert report.status is SolveStatus.CONVERGED
+
+    emb = embed(A, b)
+    r, s = spmv(emb.P, np.ones(emb.P.ncols)), emb.P.col_sums
+    y, n = np.ones(emb.P.ncols), 0
+    while np.linalg.norm(spmv(A, y[:200]) - b) > eps:
+        y = _sart_step(emb.P, emb.c, y, r, s)
+        n += 1
+    assert report.iterations == n == 739
+    assert np.abs(report.x - y[:200]).max() <= 1e-5
 
 
 def test_solve_inconsistent_reaches_minimal_divergence():
@@ -553,6 +604,22 @@ def test_solve_auto_shift_retries_count_every_attempt():
     # the report names the kept attempt's shift and counts every attempt
     assert report.t_shift == pytest.approx(5.069, rel=1e-3)
     assert report.attempts == 5
+
+
+def test_auto_shift_clears_a_negative_start():
+    # b > 0 needs no shift, but x0 + 0*1 would not be positive
+    A = sparse_of([[3.0, 1.0], [1.0, 2.0]])
+    b = spmv(A, np.array([1.0, 2.0]))
+    assert shift(A, b).t == 0.0
+    report = nna_solve(A, b, x0=[-5.0, 1.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert report.t_shift == 10.0 and report.attempts == 1
+    assert np.abs(report.x - [1.0, 2.0]).max() <= 1e-6
+    # a zero entry has no deficit, but would never move at t = 0
+    report = nna_solve(A, b, x0=[0.0, 1.0])
+    assert report.status is SolveStatus.CONVERGED and report.t_shift == 1.0
+    with pytest.raises(NegativeInput, match="raise t above 5"):
+        nna_solve(A, b, x0=[-5.0, 1.0], cfg=SolverConfig(t_shift=5.0))
 
 
 def test_solve_converged_means_returned_x_meets_tolerance():
