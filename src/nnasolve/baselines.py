@@ -78,6 +78,11 @@ def _report(status, x, trace, started, matvecs, diagnostic=None):
     )
 
 
+def _start_residual(A: SparseMatrix, b, x) -> tuple[np.ndarray, int]:
+    """b - A x and the products it took: none at a zero x, where it is b."""
+    return (b - spmv(A, x), 1) if x.any() else (b, 0)
+
+
 def _terminal(res: float, eps: float, n: int, max_iter: int) -> SolveStatus | None:
     """Status a run ends with at residual res after n iterations, or None to go on."""
     if not np.isfinite(res):
@@ -87,6 +92,47 @@ def _terminal(res: float, eps: float, n: int, max_iter: int) -> SolveStatus | No
     if n >= max_iter:
         return SolveStatus.MAX_ITERATIONS
     return None
+
+
+class _GatedTrace:
+    """Residual trace whose later entries a recurrence carries, not recomputes.
+
+    Given recompute, every entry add() appends is carried: it drifts from
+    ||b - A x|| by rounding.  When one reaches the gate (eps at first), or the
+    run would end on it anyway, recompute(x) replaces it by the residual of x,
+    a product it counts itself.  The run converges only on a recomputed value
+    within eps; a failed confirmation lowers the gate by the observed ratio
+    and the run goes on from the recomputed residual, the rule
+    nna._run_iteration applies to its tracked residual.  So on every exit
+    the last entry is the recomputed residual of the returned x.  Without
+    recompute every entry is exact and status() is _terminal.
+    """
+
+    def __init__(self, first: float, eps: float, recompute=None):
+        self.values = array("d", [first])
+        self.eps = self.gate = eps
+        self.recompute = recompute
+        self.carried = False  # whether values[-1] is carried
+
+    def add(self, value: float) -> None:
+        """Append the residual of the next iterate."""
+        self.values.append(value)
+        self.carried = self.recompute is not None
+
+    def confirm(self, x) -> None:
+        """Replace a carried last entry by the recomputed residual of x."""
+        if self.carried:
+            carried, self.values[-1] = self.values[-1], self.recompute(x)
+            self.carried = False
+            if carried <= self.gate and self.values[-1] > self.eps:
+                self.gate = carried * self.eps / self.values[-1]
+
+    def status(self, x, n: int, max_iter: int) -> SolveStatus | None:
+        """Status the run ends with at x after n iterations, or None to go on."""
+        last = self.values[-1]
+        if self.carried and (last <= self.gate or not math.isfinite(last) or n >= max_iter):
+            self.confirm(x)
+        return None if self.carried else _terminal(self.values[-1], self.eps, n, max_iter)
 
 
 def _split_diagonal(A: SparseMatrix) -> tuple[np.ndarray, SparseMatrix]:
@@ -115,7 +161,7 @@ def is_symmetric(A: SparseMatrix) -> bool:
 # stationary methods
 
 def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
-    """Jacobi sweeps x_{n+1} = D^{-1} (b - (A - D) x_n)."""
+    """Jacobi sweeps x_{n+1} = D^{-1} (b - (A - D) x_n); from a zero x_0 the first takes no product."""
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
     diag, A_off = _split_diagonal(A)
@@ -123,9 +169,11 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     trace = array("d")
     matvecs = 0
     n = 0
+    y = 0.0  # A_off x at a zero start
     while True:
-        y = spmv(A_off, x)
-        matvecs += 1
+        if n or x.any():
+            y = spmv(A_off, x)
+            matvecs += 1
         trace.append(_norm(b - y - diag * x))
         status = _terminal(trace[-1], eps, n, cfg.max_iter)
         if status is not None:
@@ -139,7 +187,8 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
 
     Builds a one-off row-major mirror of the off-diagonal part at setup (the
     sweep needs row access, which CSC cannot provide directly).  Row j reads
-    the entries x[<j] already updated in the same sweep.
+    the entries x[<j] already updated in the same sweep.  From a zero x_0
+    the first traced residual is ||b||, with no product.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
@@ -151,8 +200,11 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
     matvecs = 0
     n = 0
     while True:
-        trace.append(_norm(b - spmv(A, x)))
-        matvecs += 1
+        if n or x.any():
+            trace.append(_norm(b - spmv(A, x)))
+            matvecs += 1
+        else:
+            trace.append(_norm(b))
         status = _terminal(trace[-1], eps, n, cfg.max_iter)
         if status is not None:
             return _report(status, x, trace, started, matvecs)
@@ -166,26 +218,21 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
 # conjugate gradients
 
 @np.errstate(over="ignore")  # an inner product that overflows ends the run as a breakdown
-def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
-    """Textbook CG recurrence on an abstract SPD operator.
+def _cg_core(apply_op, r, x, trace, max_iter, value_fn):
+    """Textbook CG recurrence on an abstract SPD operator, from x with residual r.
 
-    value_fn maps the recurrence state (x, r) to the traced/stopping residual
-    value; plain CG passes ||r||, the normal-equation wrapper substitutes the
-    original-system residual.  From a zero x the residual is rhs itself, so
-    the operator is not applied to it.  Returns (x, trace, status, applies,
-    diagnostic), applies counting the applications of apply_op.
+    The caller forms r = rhs - op(x) (at a zero x it is rhs, no application)
+    and the trace with its first entry.  After each step of length alpha,
+    value_fn(r, alpha) gives the next entry: plain CG passes ||r||, the
+    normal-equation wrapper the original-system residual it carries.  The
+    trace decides when the run stops (_GatedTrace).  Returns (x, status,
+    applies, diagnostic), applies counting the applications of apply_op.
     """
-    if x.any():
-        r = rhs - apply_op(x)
-        applies = 1
-    else:
-        r, applies = rhs, 0
-    trace = array("d", [value_fn(x, r)])
     p = r.copy()
     rs = float(r @ r)
-    n = 0
+    applies = n = 0
     diagnostic = None
-    while (status := _terminal(trace[-1], eps, n, max_iter)) is None:
+    while (status := trace.status(x, n, max_iter)) is None:
         Ap = apply_op(p)
         applies += 1
         pAp = float(p @ Ap)
@@ -201,12 +248,13 @@ def _cg_core(apply_op, rhs, x, eps, max_iter, value_fn):
         x = x + alpha * p
         r = r - alpha * Ap
         rs_new = float(r @ r)
-        trace.append(value_fn(x, r))
+        trace.add(value_fn(r, alpha))
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
         n += 1
-    return x, trace, status, applies, diagnostic
+    trace.confirm(x)
+    return x, status, applies, diagnostic
 
 
 def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -217,42 +265,50 @@ def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> So
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=True)
-    x, trace, status, matvecs, diagnostic = _cg_core(
-        lambda v: spmv(A, v),
-        b,
-        x,
-        eps,
-        cfg.max_iter,
-        lambda x, r: _norm(r),
+    r, start_products = _start_residual(A, b, x)
+    trace = _GatedTrace(_norm(r), eps)
+    x, status, applies, diagnostic = _cg_core(
+        lambda v: spmv(A, v), r, x, trace, cfg.max_iter, lambda r, alpha: _norm(r)
     )
-    return _report(status, x, trace, started, matvecs, diagnostic)
+    return _report(status, x, trace.values, started, start_products + applies, diagnostic)
 
 
 def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
-    """CG applied to A^T A x = A^T b without forming A^T A.
+    """CG applied to A^T A x = A^T b without forming A^T A (CGLS).
 
-    The trace and stopping test use the original residual ||b - A x||_2,
-    recomputed with one product by A per trace entry at a nonzero x (at a
-    zero x it is ||b||).  matvec_count counts those products, the two of each
-    CG step and the product A^T b.
+    The trace and stopping test use the original residual s = b - A x.  The
+    start forms s (b itself at a zero x, no product) and A^T s; after that
+    each step carries s <- s - alpha A p, reusing the A p of its product by
+    A^T A, and the carried s is confirmed as _GatedTrace says.  matvec_count
+    counts the start's products, the two of each CG step and each
+    confirmation.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
-    residual_products = 0
+    s, products = _start_residual(A, b, x)
+    Ap = None  # A p of the latest step
 
-    def apply_op(v):
-        return spmv_transpose(A, spmv(A, v))
+    def apply_op(p):
+        nonlocal Ap
+        Ap = spmv(A, p)
+        return spmv_transpose(A, Ap)
 
-    def value_fn(x, r):
-        nonlocal residual_products
-        if not x.any():
-            return _norm(b)
-        residual_products += 1
-        return _norm(b - spmv(A, x))
+    def carried(r, alpha):
+        nonlocal s
+        s = s - alpha * Ap
+        return _norm(s)
 
-    rhs = spmv_transpose(A, b)
-    x, trace, status, applies, diagnostic = _cg_core(apply_op, rhs, x, eps, cfg.max_iter, value_fn)
-    return _report(status, x, trace, started, 1 + 2 * applies + residual_products, diagnostic)
+    def recompute(x):
+        nonlocal s, products
+        s = b - spmv(A, x)
+        products += 1
+        return _norm(s)
+
+    trace = _GatedTrace(_norm(s), eps, recompute)
+    r = spmv_transpose(A, s)
+    products += 1
+    x, status, applies, diagnostic = _cg_core(apply_op, r, x, trace, cfg.max_iter, carried)
+    return _report(status, x, trace.values, started, products + 2 * applies, diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -263,107 +319,162 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
 _INVARIANT_REL = 1e-12
 
 
-def arnoldi_process(A: SparseMatrix, r0, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _givens(h, rotations: list) -> float:
+    """|sin| of the Givens rotation that zeroes the subdiagonal of column h of H.
+
+    h is H[:j+2, j].  The rotations of the columns before it are applied to a
+    copy of it first, and the new one is appended to rotations.  The
+    least-squares residual min ||beta e1 - H y|| over the first j + 1
+    columns is beta times the product of these factors (Saad & Schultz 1986).
+    A column the earlier ones already span (diagonal and subdiagonal both zero
+    after rotation) leaves it unchanged: factor 1.
+    """
+    h = h.tolist()
+    for i, (c, s) in enumerate(rotations):
+        h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+    rho = math.hypot(h[-2], h[-1])
+    c, s = (h[-2] / rho, h[-1] / rho) if rho else (0.0, 1.0)
+    rotations.append((c, s))
+    return abs(s)
+
+
+def _build_basis(A, r0, k, target, orthogonalize):
+    """Basis loop both builders share; orthogonalize(w, vs, H, j) fills H[:j+1, j]."""
+    r0 = np.asarray(r0, dtype=np.float64)
+    residual = _norm(r0)
+    vs = [r0 / residual]
+    H = np.zeros((k + 1, k))
+    rotations: list[tuple[float, float]] = []
+    for j in range(k):
+        w = spmv(A, vs[j])
+        orthogonalize(w, vs, H, j)
+        H[j + 1, j] = _norm(w)
+        if H[j + 1, j] <= _INVARIANT_REL * _norm(H[: j + 2, j]):
+            return np.column_stack(vs), H[: j + 2, : j + 1]
+        vs.append(w / H[j + 1, j])
+        if target is not None:
+            residual *= _givens(H[: j + 2, j], rotations)
+            if residual <= target:
+                return np.column_stack(vs), H[: j + 2, : j + 1]
+    return np.column_stack(vs), H
+
+
+def _gram_schmidt(w, vs, H, j):
+    """Modified Gram-Schmidt against every basis vector so far."""
+    for i in range(j + 1):
+        H[i, j] = float(w @ vs[i])
+        w -= H[i, j] * vs[i]
+
+
+def _three_term(w, vs, H, j):
+    """The Lanczos recurrence: against the last two basis vectors only."""
+    if j:
+        H[j - 1, j] = H[j, j - 1]
+        w -= H[j - 1, j] * vs[j - 1]
+    H[j, j] = float(w @ vs[j])
+    w -= H[j, j] * vs[j]
+
+
+def arnoldi_process(
+    A: SparseMatrix, r0, k: int, target: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Run k steps of Arnoldi with modified Gram-Schmidt from r0.
 
     Returns (V, H): H is the (k_eff + 1) x k_eff upper-Hessenberg matrix and V
     the orthonormal basis, with k_eff + 1 columns, or k_eff when step k_eff
     found the Krylov space invariant (subdiagonal at most _INVARIANT_REL times
-    its column norm, which is ||A v_j||).
+    its column norm, which is ||A v_j||).  Given a target, the run also ends
+    at the first step whose least-squares residual min ||beta e1 - H y||,
+    traced by Givens rotations, is at most target.
     """
-    r0 = np.asarray(r0, dtype=np.float64)
-    vs = [r0 / _norm(r0)]
-    H = np.zeros((k + 1, k))
-    for j in range(k):
-        w = spmv(A, vs[j])
-        for i in range(j + 1):
-            H[i, j] = float(w @ vs[i])
-            w -= H[i, j] * vs[i]
-        H[j + 1, j] = _norm(w)
-        if H[j + 1, j] <= _INVARIANT_REL * _norm(H[: j + 2, j]):
-            return np.column_stack(vs), H[: j + 2, : j + 1]
-        vs.append(w / H[j + 1, j])
-    return np.column_stack(vs), H
+    return _build_basis(A, r0, k, target, _gram_schmidt)
 
 
-def lanczos_process(A: SparseMatrix, r0, k: int) -> tuple[np.ndarray, np.ndarray]:
+def lanczos_process(
+    A: SparseMatrix, r0, k: int, target: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Run k steps of the Lanczos three-term recurrence from r0.
 
-    Same contract and invariance stop as arnoldi_process; H is tridiagonal.
+    Same contract, invariance stop and target as arnoldi_process; H is
+    tridiagonal.
     """
-    r0 = np.asarray(r0, dtype=np.float64)
-    vs = [r0 / _norm(r0)]
-    H = np.zeros((k + 1, k))
-    for j in range(k):
-        w = spmv(A, vs[j])
-        if j:
-            H[j - 1, j] = H[j, j - 1]
-            w -= H[j - 1, j] * vs[j - 1]
-        H[j, j] = float(w @ vs[j])
-        w -= H[j, j] * vs[j]
-        H[j + 1, j] = _norm(w)
-        if H[j + 1, j] <= _INVARIANT_REL * _norm(H[: j + 2, j]):
-            return np.column_stack(vs), H[: j + 2, : j + 1]
-        vs.append(w / H[j + 1, j])
-    return np.column_stack(vs), H
+    return _build_basis(A, r0, k, target, _three_term)
 
 
 def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> SolveReport:
     """Shared outer loop: restart the projection built by process until tolerance.
 
-    One report iteration is one restart (one application of the k-step
-    cycle); matvec_count carries the total number of products.  A restart
-    that leaves x bit-identical ends the run as BREAKDOWN: restarts are
-    deterministic, so every later restart would repeat it.  That covers both
-    a singular H on an invariant Krylov space and a zero step on one that is
-    not (GMRES(1) on a rotation).  From a zero x the residual is b itself, so
-    no product is made for it.
+    One report iteration is one restart, a cycle of at most k steps;
+    matvec_count carries the total number of products.  A cycle ends at the
+    first step whose least-squares residual reaches the gate of the trace
+    (eps at first), or on an invariant Krylov space.  The next cycle starts
+    from r = V (beta e1 - H y), which the Arnoldi relation A V_k = V_{k+1} H
+    makes equal to b - A x up to rounding, so it costs no product; its norm is
+    traced, and confirmed with one counted product as _GatedTrace says.  From
+    a zero x the residual is b itself, so no product is made for it.  A
+    restart that leaves x bit-identical ends the run as BREAKDOWN: restarts
+    are deterministic, so every later restart would repeat it.  That covers
+    both a singular H on an invariant Krylov space and a zero step on one that
+    is not (GMRES(1) on a rotation).
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=symmetric)
     if k < 1:
         raise DimensionMismatch("restart length k must be >= 1")
-    if x.any():
+    r, matvecs = _start_residual(A, b, x)
+
+    def recompute(x):
+        nonlocal r, matvecs
         r = b - spmv(A, x)
-        matvecs = 1
-    else:
-        r, matvecs = b, 0
-    trace = array("d", [_norm(r)])
+        matvecs += 1
+        return _norm(r)
+
+    trace = _GatedTrace(_norm(r), eps, recompute)
     restarts = 0
     diagnostic = None
-    while (status := _terminal(trace[-1], eps, restarts, cfg.max_iter)) is None:
-        V, H = process(A, r, k)
+    while (status := trace.status(x, restarts, cfg.max_iter)) is None:
+        V, H = process(A, r, k, trace.gate)
         steps = H.shape[1]
         matvecs += steps
         if not np.isfinite(H).all():  # a product overflowed; LAPACK would reject H
             status = SolveStatus.BREAKDOWN
             break
-        rhs = np.zeros(steps + 1)
-        rhs[0] = trace[-1]
+        z = np.zeros(steps + 1)
+        z[0] = trace.values[-1]
         # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
-        y = np.linalg.lstsq(H, rhs, rcond=None)[0]
+        y = np.linalg.lstsq(H, z, rcond=None)[0]
         x_next = x + V[:, :steps] @ y
-        del V  # else it stays alive while the next restart builds its basis
         restarts += 1
         if np.array_equal(x_next, x):
             # r is unchanged too, so every later restart would repeat this one bit for bit
-            trace.append(trace[-1])
+            trace.values.append(trace.values[-1])
             status = SolveStatus.BREAKDOWN
             diagnostic = f"restart {restarts}: the least-squares step left x unchanged; every later one would repeat it"
             break
+        z -= H @ y
+        # an invariant space has no v_{k+1}; its coefficient is the negligible subdiagonal
+        r = V @ z[: V.shape[1]]
+        invariant = V.shape[1] == steps
+        del V  # else it stays alive while the next restart builds its basis
         x = x_next
-        r = b - spmv(A, x)
-        matvecs += 1
-        trace.append(_norm(r))
-    return _report(status, x, trace, started, matvecs, diagnostic)
+        trace.add(_norm(r))
+        if invariant:
+            # the step was the best the closed space holds; a restart from the
+            # rounding in the carried r would take spurious steps, so confirm now
+            trace.confirm(x)
+    trace.confirm(x)
+    return _report(status, x, trace.values, started, matvecs, diagnostic)
 
 
 def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:
     """Restarted GMRES(k): Arnoldi + Hessenberg least squares, repeated.
 
-    cfg.max_iter bounds the number of restarts.  GMRES may stagnate on
-    general matrices: a restart that cannot move x is a BREAKDOWN, slow
-    progress surfaces as MAX_ITERATIONS, neither as an error.
+    cfg.max_iter bounds the number of restarts.  A cycle stops at the Arnoldi
+    step whose least-squares residual reaches the target, and the next one
+    starts from the residual the Arnoldi relation carries; the returned
+    residual is always recomputed from A (see _restarted_minimum_residual).
+    GMRES may stagnate on general matrices: a restart that cannot move x is a
+    BREAKDOWN, slow progress surfaces as MAX_ITERATIONS, neither as an error.
     """
     # looked up per call, not bound at import, so a wrapper patched onto
     # nnasolve.baselines.arnoldi_process sees every restart

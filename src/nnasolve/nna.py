@@ -114,7 +114,13 @@ class SolveReport:
     value.  general_solve maps each tracked residual to the original system
     through the tie block of P, a product with A's negative entries only
     (13.7% of nnz(P) on the benchmark's mixed-mtx instance), which is not
-    counted.  t_shift is the positivity shift of the kept attempt and
+    counted.  gmres_restarted, minres_solve and normal_equation_solve carry
+    their residual through a recurrence and recompute it with one counted
+    product whenever the carried value reaches the gate or the run would end
+    on it, failed confirmations included; so for them too the last
+    residual_trace entry is the recomputed residual of the returned x.  From
+    a zero start no baseline makes a product for the first residual, b.
+    t_shift is the positivity shift of the kept attempt and
     attempts the number of shifts tried (1 + auto-shift retries); solvers
     that do not shift leave them None and 0.
     """

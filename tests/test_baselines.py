@@ -22,6 +22,7 @@ from nnasolve import (
     from_arrays,
     from_triplets,
     gauss_seidel_solve,
+    gen_dense_uniform,
     gen_sparse_random,
     gmres_restarted,
     is_symmetric,
@@ -31,8 +32,9 @@ from nnasolve import (
     default_tolerance,
     nna_solve,
     normal_equation_solve,
+    spmv,
 )
-from nnasolve.baselines import _cg_core
+from nnasolve.baselines import _GatedTrace, _cg_core
 from conftest import dominant_mixed, identity, sparse_of, spd_dominant
 
 
@@ -145,8 +147,10 @@ def test_cg_directions_are_conjugate():
             applied.append(v.copy())
             return dense @ v
 
-        _cg_core(apply_op, rng.uniform(-1, 1, m), np.zeros(m), 1e-10, 100_000, lambda x, r: float(np.linalg.norm(r)))
-        P = np.column_stack(applied[1:])  # the first product is A x0, not a direction
+        rhs = rng.uniform(-1, 1, m)
+        trace = _GatedTrace(float(np.linalg.norm(rhs)), 1e-10)
+        _cg_core(apply_op, rhs, np.zeros(m), trace, 100_000, lambda r, alpha: float(np.linalg.norm(r)))
+        P = np.column_stack(applied)  # from a zero x0 every product is by a direction
         gram = P.T @ dense @ P
         scale = np.sqrt(np.diag(gram))
         cosines = gram / np.outer(scale, scale)
@@ -418,6 +422,138 @@ def test_gmres_calls_the_builder_by_its_module_name(monkeypatch):
     assert len(calls) == report.iterations
 
 
+def _count_products(monkeypatch):
+    calls = []
+    for name in ("spmv", "spmv_transpose"):
+        kernel = getattr(nnasolve.baselines, name)
+
+        def counted(A, v, kernel=kernel):
+            calls.append(v)
+            return kernel(A, v)
+
+        monkeypatch.setattr(nnasolve.baselines, name, counted)
+    return calls
+
+
+def _record_cycles(monkeypatch):
+    """Record (target, steps) of each GMRES cycle through nnasolve.baselines.arnoldi_process."""
+    cycles = []
+    original = nnasolve.baselines.arnoldi_process
+
+    def recording(A, r0, k, target):
+        V, H = original(A, r0, k, target)
+        cycles.append((target, H.shape[1]))
+        return V, H
+
+    monkeypatch.setattr(nnasolve.baselines, "arnoldi_process", recording)
+    return cycles
+
+
+@st.composite
+def restarted_runs(draw):
+    """A random nonsingular system of size 2-30, a restart length k in 1..6 and a run config.
+
+    Nonsymmetric and strictly row-dominant for GMRES; symmetric for MINRES,
+    Q diag(lambda) Q^T with eigenvalues of either sign and 0.5 <= |lambda| <= 2.
+    """
+    symmetric = draw(st.booleans())
+    m = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if symmetric:
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        dense = Q @ np.diag(rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)) @ Q.T
+        dense = (dense + dense.T) / 2.0
+    else:
+        dense = dominant_mixed(rng, m)
+    b = rng.uniform(-1.0, 1.0, m)
+    # down to 1e-16 ||b||, where steps fall below rounding and restarts stall
+    eps = 10.0 ** draw(st.integers(-16, -2)) * float(np.linalg.norm(b))
+    cfg = SolverConfig(eps_tol=eps, max_iter=draw(st.integers(0, 40)))
+    return symmetric, dense, b, draw(st.integers(1, 6)), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=restarted_runs())
+def test_restarted_runs_end_on_the_recomputed_residual(case):
+    # cycles stop early and restarts carry their residual, but every exit
+    # reports the residual of the returned x, and every product is counted
+    symmetric, dense, b, k, cfg = case
+    A = sparse_of(dense)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_products(patch)
+        solve = minres_solve if symmetric else gmres_restarted
+        report = solve(A, b, k=k, cfg=cfg)
+    assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x))
+    assert report.residual_trace.size == report.iterations + 1
+    if report.status is SolveStatus.CONVERGED:
+        assert report.residual_trace[-1] <= cfg.eps_tol
+    elif report.status is SolveStatus.MAX_ITERATIONS:
+        assert report.iterations == cfg.max_iter
+    else:
+        assert report.status is SolveStatus.BREAKDOWN and "left x unchanged" in report.diagnostic
+    assert len(calls) == report.matvec_count
+
+
+def test_a_cycle_stops_at_the_step_that_reaches_the_target(monkeypatch):
+    # the loop that ran every cycle to k steps and recomputed b - A x after each
+    # made 7 (6 + 1) = 49 products here; now the last cycle stops after one
+    # step and the only residual product is the confirmation: 6 * 6 + 1 + 1
+    cycles = _record_cycles(monkeypatch)
+    rng = np.random.default_rng(15)
+    dense = rng.uniform(-1, 1, (30, 30)) + 5.0 * np.eye(30)
+    b = rng.uniform(-1, 1, 30)
+    A = sparse_of(dense)
+    report = gmres_restarted(A, b, k=6, cfg=SolverConfig(eps_tol=1e-9, max_iter=100))
+    assert report.status is SolveStatus.CONVERGED and report.iterations == 7
+    assert [steps for _, steps in cycles] == [6] * 6 + [1]
+    assert report.matvec_count == 38 and report.iterations * (6 + 1) == 49
+    assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) <= 1e-9
+
+
+def test_a_failed_confirmation_lowers_the_target(monkeypatch):
+    # at 1e-16 ||b|| the carried residual falls below the target before b - A x
+    # does; the recomputed value stays in the trace, and the cycles after it
+    # aim below eps by the observed ratio
+    rng = np.random.default_rng(0)
+    dense = dominant_mixed(rng, 6)
+    b = rng.uniform(-1, 1, 6)
+    eps = 1e-16 * float(np.linalg.norm(b))
+    A = sparse_of(dense)
+    calls = _count_products(monkeypatch)
+    cycles = _record_cycles(monkeypatch)
+    report = gmres_restarted(A, b, k=2, cfg=SolverConfig(eps_tol=eps, max_iter=100))
+    targets = [target for target, _ in cycles]
+    assert report.status is SolveStatus.CONVERGED
+    assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) <= eps
+    first_lowered = next(i for i, t in enumerate(targets) if t < eps)
+    assert targets[:first_lowered] == [eps] * first_lowered
+    assert all(t == targets[first_lowered] for t in targets[first_lowered:])
+    assert report.residual_trace[first_lowered] > eps  # the failed confirmation
+    assert len(calls) == report.matvec_count
+
+
+# GMRES(20) products to 1e-6 ||b|| on c07 seeds 0-9; running every cycle to
+# 20 steps and recomputing b - A x at each restart took 2,835
+_C07_GMRES_PRODUCTS = [223, 181, 161, 227, 450, 344, 129, 393, 334, 179]
+
+
+def test_gmres_products_on_c06_and_c07_are_pinned():
+    # the end-to-end product counts the benchmark reports, per solve
+    for seed, products in enumerate(_C07_GMRES_PRODUCTS):
+        inst = gen_sparse_random(1000, 5000, 100.0, seed)
+        target = 1e-6 * float(np.linalg.norm(inst.b))
+        report = gmres_restarted(inst.A, inst.b, k=20, cfg=SolverConfig(eps_tol=target, max_iter=2_000))
+        assert report.status is SolveStatus.CONVERGED
+        assert (seed, report.matvec_count) == (seed, products)
+    assert sum(_C07_GMRES_PRODUCTS) == 2_621
+
+    # c06: m = 10, so one cycle closes the Krylov space and one product confirms it
+    inst = gen_dense_uniform(10, 0)
+    report = gmres_restarted(inst.A, inst.b, k=20, cfg=SolverConfig(eps_tol=1e-8, max_iter=2_000))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 1 and report.matvec_count == 11
+
+
 def test_gmres_frees_each_restart_basis_before_the_next():
     # a restart holds its basis twice, as the list of vectors and as the
     # matrix stacked from it, but never next to the basis of the restart before
@@ -452,8 +588,8 @@ def test_normal_cg_identity_and_oracle():
 
 
 def test_normal_cg_counts_every_product(monkeypatch):
-    # the products of A^T b, of each CG step and of each traced residual but
-    # the first, which is ||b|| at the zero start
+    # the products of A^T b, of each CG step and of the one confirmation of the
+    # carried residual; the first traced residual is ||b|| at the zero start
     calls = []
     for name in ("spmv", "spmv_transpose"):
         kernel = getattr(nnasolve.baselines, name)
@@ -465,29 +601,19 @@ def test_normal_cg_counts_every_product(monkeypatch):
         monkeypatch.setattr(nnasolve.baselines, name, counted)
     report = normal_equation_solve(sparse_of([[2.0, 1.0], [0.0, 1.0]]), [3.0, 1.0], cfg=CFG)
     assert report.status is SolveStatus.CONVERGED and report.iterations == 2
-    assert len(calls) == report.matvec_count == 7
+    assert len(calls) == report.matvec_count == 6
 
 
 _START_PRODUCTS = {
     "gmres": (lambda A, b, x0, cfg: gmres_restarted(A, b, x0=x0, k=3, cfg=cfg), 1),
     "minres": (lambda A, b, x0, cfg: minres_solve(A, b, x0=x0, k=3, cfg=cfg), 1),
     "cg": (cg_solve, 1),
-    # A^T A x0 and the traced residual b - A x0
-    "normal-cg": (normal_equation_solve, 3),
+    # Jacobi's first sweep takes A_off x0, Gauss-Seidel's first traced residual A x0
+    "jacobi": (jacobi_solve, 1),
+    "gauss-seidel": (gauss_seidel_solve, 1),
+    # the residual s = b - A x0; A^T s then takes the place of A^T b
+    "normal-cg": (normal_equation_solve, 1),
 }
-
-
-def _count_products(monkeypatch):
-    calls = []
-    for name in ("spmv", "spmv_transpose"):
-        kernel = getattr(nnasolve.baselines, name)
-
-        def counted(A, v, kernel=kernel):
-            calls.append(v)
-            return kernel(A, v)
-
-        monkeypatch.setattr(nnasolve.baselines, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("start", ["none", "zero", "nonzero"])
@@ -498,7 +624,7 @@ def test_a_zero_start_makes_no_product(monkeypatch, solver, start):
     dense = spd_dominant(np.random.default_rng(13), 12)
     A, b = sparse_of(dense), np.random.default_rng(14).uniform(-1, 1, 12)
     x0 = {"none": None, "zero": np.zeros(12), "nonzero": np.full(12, 0.5)}[start]
-    fixed = 1 if solver == "normal-cg" else 0  # A^T b
+    fixed = 1 if solver == "normal-cg" else 0  # A^T b, or A^T (b - A x0)
     calls = _count_products(monkeypatch)
 
     # max_iter = 0 stops at the start, before any step
