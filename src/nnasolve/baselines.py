@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     NotSymmetric,
     ZeroDiagonal,
 )
-from .nna import SolveReport, SolveStatus, SolverConfig, _norm, default_tolerance
+from .nna import SolveReport, SolveStatus, SolverConfig, _norm, _ResidualGate, default_tolerance
 from .sparse import SparseMatrix, as_vector, from_arrays, spmv, spmv_transpose
 
 __all__ = [
@@ -65,74 +64,24 @@ def _setup(A: SparseMatrix, b, x0, cfg, square=True, symmetric=False):
     return b, x, cfg, eps
 
 
-def _report(status, x, trace, started, matvecs, diagnostic=None):
+def _report(status, x, gate, started, products, diagnostic=None):
     return SolveReport(
         status=status,
-        iterations=len(trace) - 1,
+        iterations=len(gate.values) - 1,
         x=x,
-        residual_trace=np.frombuffer(trace),
+        residual_trace=np.frombuffer(gate.values),
         kl_trace=np.empty(0),
         elapsed_ns=time.perf_counter_ns() - started,
-        matvec_count=matvecs,
+        matvec_count=products + gate.recomputes,
         diagnostic=diagnostic,
     )
 
 
-def _start_residual(A: SparseMatrix, b, x) -> tuple[np.ndarray, int]:
-    """b - A x and the products it took: none at a zero x, where it is b."""
-    return (b - spmv(A, x), 1) if x.any() else (b, 0)
-
-
-def _terminal(res: float, eps: float, n: int, max_iter: int) -> SolveStatus | None:
-    """Status a run ends with at residual res after n iterations, or None to go on."""
-    if not np.isfinite(res):
-        return SolveStatus.BREAKDOWN
-    if res <= eps:
-        return SolveStatus.CONVERGED
-    if n >= max_iter:
-        return SolveStatus.MAX_ITERATIONS
-    return None
-
-
-class _GatedTrace:
-    """Residual trace whose later entries a recurrence carries, not recomputes.
-
-    Given recompute, every entry add() appends is carried: it drifts from
-    ||b - A x|| by rounding.  When one reaches the gate (eps at first), or the
-    run would end on it anyway, recompute(x) replaces it by the residual of x,
-    a product it counts itself.  The run converges only on a recomputed value
-    within eps; a failed confirmation lowers the gate by the observed ratio
-    and the run goes on from the recomputed residual, the rule
-    nna._run_iteration applies to its tracked residual.  So on every exit
-    the last entry is the recomputed residual of the returned x.  Without
-    recompute every entry is exact and status() is _terminal.
-    """
-
-    def __init__(self, first: float, eps: float, recompute=None):
-        self.values = array("d", [first])
-        self.eps = self.gate = eps
-        self.recompute = recompute
-        self.carried = False  # whether values[-1] is carried
-
-    def add(self, value: float) -> None:
-        """Append the residual of the next iterate."""
-        self.values.append(value)
-        self.carried = self.recompute is not None
-
-    def confirm(self, x) -> None:
-        """Replace a carried last entry by the recomputed residual of x."""
-        if self.carried:
-            carried, self.values[-1] = self.values[-1], self.recompute(x)
-            self.carried = False
-            if carried <= self.gate and self.values[-1] > self.eps:
-                self.gate = carried * self.eps / self.values[-1]
-
-    def status(self, x, n: int, max_iter: int) -> SolveStatus | None:
-        """Status the run ends with at x after n iterations, or None to go on."""
-        last = self.values[-1]
-        if self.carried and (last <= self.gate or not math.isfinite(last) or n >= max_iter):
-            self.confirm(x)
-        return None if self.carried else _terminal(self.values[-1], self.eps, n, max_iter)
+def _start(A: SparseMatrix, b, x, eps) -> tuple[_ResidualGate, int]:
+    """The gate of a run that carries b - A x from x, and the products its
+    first entry took: none at a zero x, where it is b."""
+    r, products = (b - spmv(A, x), 1) if x.any() else (b, 0)
+    return _ResidualGate(eps, lambda x: b - spmv(A, x), first=r), products
 
 
 def _split_diagonal(A: SparseMatrix) -> tuple[np.ndarray, SparseMatrix]:
@@ -165,21 +114,17 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
     diag, A_off = _split_diagonal(A)
-
-    trace = array("d")
-    matvecs = 0
+    products = int(x.any())
+    y = spmv(A_off, x) if products else 0.0  # A_off x
+    gate = _ResidualGate(eps, first=b - y - diag * x)
     n = 0
-    y = 0.0  # A_off x at a zero start
-    while True:
-        if n or x.any():
-            y = spmv(A_off, x)
-            matvecs += 1
-        trace.append(_norm(b - y - diag * x))
-        status = _terminal(trace[-1], eps, n, cfg.max_iter)
-        if status is not None:
-            return _report(status, x, trace, started, matvecs)
+    while (status := gate.status(x, n, cfg.max_iter)) is None:
         x = (b - y) / diag
+        y = spmv(A_off, x)
+        products += 1
+        gate.add(b - y - diag * x)
         n += 1
+    return _report(status, x, gate, started, products)
 
 
 def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -196,43 +141,50 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
     T = A_off.transpose()  # column j of T = row j of A_off
     ptr, idx, vals = T.col_ptr.tolist(), T.row_idx, T.values
 
-    trace = array("d")
-    matvecs = 0
+    r, products = (b - spmv(A, x), 1) if x.any() else (b, 0)
+    gate = _ResidualGate(eps, first=r)
     n = 0
-    while True:
-        if n or x.any():
-            trace.append(_norm(b - spmv(A, x)))
-            matvecs += 1
-        else:
-            trace.append(_norm(b))
-        status = _terminal(trace[-1], eps, n, cfg.max_iter)
-        if status is not None:
-            return _report(status, x, trace, started, matvecs)
+    while (status := gate.status(x, n, cfg.max_iter)) is None:
         for j in range(A.nrows):
             lo, hi = ptr[j], ptr[j + 1]
             x[j] = (b[j] - vals[lo:hi] @ x[idx[lo:hi]]) / diag[j]
+        gate.add(b - spmv(A, x))
+        products += 1
         n += 1
+    return _report(status, x, gate, started, products)
 
 
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
 @np.errstate(over="ignore")  # an inner product that overflows ends the run as a breakdown
-def _cg_core(apply_op, r, x, trace, max_iter, value_fn):
+def _cg_core(apply_op, r, x, gate, max_iter, carried=None):
     """Textbook CG recurrence on an abstract SPD operator, from x with residual r.
 
     The caller forms r = rhs - op(x) (at a zero x it is rhs, no application)
-    and the trace with its first entry.  After each step of length alpha,
-    value_fn(r, alpha) gives the next entry: plain CG passes ||r||, the
-    normal-equation wrapper the original-system residual it carries.  The
-    trace decides when the run stops (_GatedTrace).  Returns (x, status,
-    applies, diagnostic), applies counting the applications of apply_op.
+    and the gate with the first residual it traces.  The gate traces r itself
+    unless carried is given: after each step of length alpha, carried(alpha)
+    gives the vector traced instead (the normal-equation wrapper's b - A x).
+    Where the gate traces r, a failed confirmation replaces r by the
+    recomputed b - A x (van der Vorst & Ye 2000) and CG restarts from it,
+    p = r: a direction built across a replacement that large is not
+    conjugate.  Returns (x, status, applies, diagnostic), applies counting
+    the applications of apply_op.
     """
-    p = r.copy()
-    rs = float(r @ r)
     applies = n = 0
     diagnostic = None
-    while (status := trace.status(x, n, max_iter)) is None:
+    while (status := gate.status(x, n, max_iter)) is None:
+        restart = n == 0
+        if carried is None and gate.residual is not r:  # a confirmation replaced r
+            r, restart = gate.residual, True
+        rs_new = float(r @ r)
+        if rs_new == 0.0:
+            # CGLS can reach A^T s = 0 exactly with s above eps; the next p is 0
+            status = SolveStatus.BREAKDOWN
+            diagnostic = f"iteration {n}: r = 0, so a step would leave x unchanged, and so would every later one"
+            break
+        p = r if restart else r + (rs_new / rs) * p
+        rs = rs_new
         Ap = apply_op(p)
         applies += 1
         pAp = float(p @ Ap)
@@ -247,13 +199,9 @@ def _cg_core(apply_op, r, x, trace, max_iter, value_fn):
         alpha = rs / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(r @ r)
-        trace.add(value_fn(r, alpha))
-        beta = rs_new / rs
-        p = r + beta * p
-        rs = rs_new
+        gate.add(r if carried is None else carried(alpha))
         n += 1
-    trace.confirm(x)
+    gate.confirm(x)
     return x, status, applies, diagnostic
 
 
@@ -262,15 +210,14 @@ def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> So
 
     Symmetry is checked structurally (within 1e-12 relative); positive
     definiteness is assumed and its violation surfaces as IndefiniteBreakdown.
+    The recurrence residual drifts from b - A x (Greenbaum 1997), so the gate
+    confirms it with one counted product before the run may converge.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=True)
-    r, start_products = _start_residual(A, b, x)
-    trace = _GatedTrace(_norm(r), eps)
-    x, status, applies, diagnostic = _cg_core(
-        lambda v: spmv(A, v), r, x, trace, cfg.max_iter, lambda r, alpha: _norm(r)
-    )
-    return _report(status, x, trace.values, started, start_products + applies, diagnostic)
+    gate, products = _start(A, b, x, eps)
+    x, status, applies, diagnostic = _cg_core(lambda v: spmv(A, v), gate.residual, x, gate, cfg.max_iter)
+    return _report(status, x, gate, started, products + applies, diagnostic)
 
 
 def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -279,13 +226,12 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
     The trace and stopping test use the original residual s = b - A x.  The
     start forms s (b itself at a zero x, no product) and A^T s; after that
     each step carries s <- s - alpha A p, reusing the A p of its product by
-    A^T A, and the carried s is confirmed as _GatedTrace says.  matvec_count
-    counts the start's products, the two of each CG step and each
-    confirmation.
+    A^T A, and the gate confirms the carried s.  matvec_count counts the
+    start's products, the two of each CG step and each confirmation.
     """
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
-    s, products = _start_residual(A, b, x)
+    gate, products = _start(A, b, x, eps)
     Ap = None  # A p of the latest step
 
     def apply_op(p):
@@ -293,22 +239,12 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
         Ap = spmv(A, p)
         return spmv_transpose(A, Ap)
 
-    def carried(r, alpha):
-        nonlocal s
-        s = s - alpha * Ap
-        return _norm(s)
-
-    def recompute(x):
-        nonlocal s, products
-        s = b - spmv(A, x)
-        products += 1
-        return _norm(s)
-
-    trace = _GatedTrace(_norm(s), eps, recompute)
-    r = spmv_transpose(A, s)
+    r = spmv_transpose(A, gate.residual)
     products += 1
-    x, status, applies, diagnostic = _cg_core(apply_op, r, x, trace, cfg.max_iter, carried)
-    return _report(status, x, trace.values, started, products + 2 * applies, diagnostic)
+    x, status, applies, diagnostic = _cg_core(
+        apply_op, r, x, gate, cfg.max_iter, lambda alpha: gate.residual - alpha * Ap
+    )
+    return _report(status, x, gate, started, products + 2 * applies, diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +263,16 @@ def _givens(h, rotations: list) -> float:
     least-squares residual min ||beta e1 - H y|| over the first j + 1
     columns is beta times the product of these factors (Saad & Schultz 1986).
     A column the earlier ones already span (diagonal and subdiagonal both zero
-    after rotation) leaves it unchanged: factor 1.
+    after rotation) leaves it unchanged: factor 1.  A rotation of two zeros
+    leaves two zeros, so the leading rotations whose pair is zero in h are
+    skipped: a Lanczos column, zero above row j - 1, takes only the last two.
     """
     h = h.tolist()
-    for i, (c, s) in enumerate(rotations):
+    first = 0
+    while first < len(rotations) and not (h[first] or h[first + 1]):
+        first += 1
+    for i in range(first, len(rotations)):
+        c, s = rotations[i]
         h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
     rho = math.hypot(h[-2], h[-1])
     c, s = (h[-2] / rho, h[-1] / rho) if rho else (0.0, 1.0)
@@ -410,7 +352,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> S
     (eps at first), or on an invariant Krylov space.  The next cycle starts
     from r = V (beta e1 - H y), which the Arnoldi relation A V_k = V_{k+1} H
     makes equal to b - A x up to rounding, so it costs no product; its norm is
-    traced, and confirmed with one counted product as _GatedTrace says.  From
+    traced as a carried entry of the gate, which confirms it.  From
     a zero x the residual is b itself, so no product is made for it.  A
     restart that leaves x bit-identical ends the run as BREAKDOWN: restarts
     are deterministic, so every later restart would repeat it.  That covers
@@ -421,49 +363,40 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> S
     b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=symmetric)
     if k < 1:
         raise DimensionMismatch("restart length k must be >= 1")
-    r, matvecs = _start_residual(A, b, x)
-
-    def recompute(x):
-        nonlocal r, matvecs
-        r = b - spmv(A, x)
-        matvecs += 1
-        return _norm(r)
-
-    trace = _GatedTrace(_norm(r), eps, recompute)
+    gate, products = _start(A, b, x, eps)
     restarts = 0
     diagnostic = None
-    while (status := trace.status(x, restarts, cfg.max_iter)) is None:
-        V, H = process(A, r, k, trace.gate)
+    while (status := gate.status(x, restarts, cfg.max_iter)) is None:
+        V, H = process(A, gate.residual, k, gate.gate)
         steps = H.shape[1]
-        matvecs += steps
+        products += steps
         if not np.isfinite(H).all():  # a product overflowed; LAPACK would reject H
             status = SolveStatus.BREAKDOWN
             break
         z = np.zeros(steps + 1)
-        z[0] = trace.values[-1]
+        z[0] = gate.values[-1]
         # min ||beta e1 - H y||; LAPACK's least squares copes with a singular H
         y = np.linalg.lstsq(H, z, rcond=None)[0]
         x_next = x + V[:, :steps] @ y
         restarts += 1
         if np.array_equal(x_next, x):
             # r is unchanged too, so every later restart would repeat this one bit for bit
-            trace.values.append(trace.values[-1])
+            gate.values.append(gate.values[-1])
             status = SolveStatus.BREAKDOWN
             diagnostic = f"restart {restarts}: the least-squares step left x unchanged; every later one would repeat it"
             break
         z -= H @ y
-        # an invariant space has no v_{k+1}; its coefficient is the negligible subdiagonal
-        r = V @ z[: V.shape[1]]
         invariant = V.shape[1] == steps
-        del V  # else it stays alive while the next restart builds its basis
         x = x_next
-        trace.add(_norm(r))
+        # an invariant space has no v_{k+1}; its coefficient is the negligible subdiagonal
+        gate.add(V @ z[: V.shape[1]])
+        del V  # else it stays alive while the next restart builds its basis
         if invariant:
             # the step was the best the closed space holds; a restart from the
             # rounding in the carried r would take spurious steps, so confirm now
-            trace.confirm(x)
-    trace.confirm(x)
-    return _report(status, x, trace.values, started, matvecs, diagnostic)
+            gate.confirm(x)
+    gate.confirm(x)
+    return _report(status, x, gate, started, products, diagnostic)
 
 
 def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:

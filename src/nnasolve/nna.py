@@ -105,22 +105,21 @@ class SolveReport:
     (iterate 0 included).  kl_trace[n] is D(b_tilde, b_tilde_n) on the
     rescaled system, for iterate 0 (the start as given, off the simplex) at
     the start scaled onto the simplex; it is empty for solvers that do not
-    track a divergence.  matvec_count counts products with the iteration
-    matrix.  For nna_solve and general_solve that is the matrix
-    the loop iterates (P for an embedded system), and the count also holds
-    the products that recompute the residual of the returned x (one per
-    solve, plus one per failed convergence recheck), summed over every
-    auto-shift attempt; the last residual_trace entry is that recomputed
-    value.  general_solve maps each tracked residual to the original system
-    through the tie block of P, a product with A's negative entries only
-    (13.7% of nnz(P) on the benchmark's mixed-mtx instance), which is not
-    counted.  gmres_restarted, minres_solve and normal_equation_solve carry
-    their residual through a recurrence and recompute it with one counted
-    product whenever the carried value reaches the gate or the run would end
-    on it, failed confirmations included; so for them too the last
-    residual_trace entry is the recomputed residual of the returned x.  From
-    a zero start no baseline makes a product for the first residual, b.
-    t_shift is the positivity shift of the kept attempt and
+    track a divergence.
+
+    Every solver stops through one rule (_ResidualGate): a carried residual
+    is recomputed as b - A x once it reaches the gate or the run would end
+    on it, and the run converges only on a recomputed value within eps, so
+    the last residual_trace entry is the residual of the returned x (for
+    general_solve, mapped through the tie block).  matvec_count counts every
+    product with the iteration matrix (P for an embedded system), each
+    recomputation included, summed over every auto-shift attempt; from a
+    zero start no baseline makes one for the first residual, b.  Not counted
+    are shift's row sums A 1, one per nna_solve or general_solve call, and
+    general_solve's products with the tie block (A's negative entries only,
+    13.7% of nnz(P) on the benchmark's mixed-mtx instance), which map each
+    tracked and recomputed residual to the original system.  t_shift is the
+    positivity shift of the kept attempt and
     attempts the number of shifts tried (1 + auto-shift retries); solvers
     that do not shift leave them None and 0.
     """
@@ -195,6 +194,68 @@ def default_tolerance(b) -> float:
     return 1e-8 * (1.0 + _norm(np.asarray(b, dtype=np.float64)))
 
 
+class _ResidualGate:
+    """The stopping rule of every solver, and the residual trace it reads.
+
+    values holds one residual norm per iterate.  Without recompute every
+    entry is exact; with it, an entry add() appends is carried and drifts
+    from ||b - A x|| by rounding (a caller that appends to values itself
+    sets carried).  status() confirms a carried last entry
+    that reaches the gate (eps at first), is not finite or ends the run: it
+    becomes the norm of recompute(x) = b - A x, one product counted in
+    recomputes, and residual becomes that vector.  A failed confirmation of
+    an entry that reached the gate lowers the gate by the observed ratio.
+    On a confirmed entry, not finite is BREAKDOWN, within eps CONVERGED,
+    then the caller's stop, then max_iter MAX_ITERATIONS; so every exit
+    through status() or confirm() ends on the residual of the returned x.
+    """
+
+    def __init__(self, eps: float, recompute=None, first=None):
+        self.values = array("d")
+        self.eps = self.gate = eps
+        self.recompute = recompute
+        self.recomputes = 0
+        self.residual = first  # the exact residual of the start, if given
+        if first is not None:
+            self.values.append(_norm(first))
+        self.carried = False
+
+    def add(self, residual: np.ndarray) -> None:
+        """Trace the residual vector of the next iterate."""
+        self.residual = residual
+        self.values.append(_norm(residual))
+        self.carried = self.recompute is not None
+
+    def confirm(self, x) -> None:
+        """Replace a carried last entry by the recomputed residual of x."""
+        if self.carried:
+            carried = self.values[-1]
+            self.residual = self.recompute(x)
+            self.values[-1] = exact = _norm(self.residual)
+            self.recomputes += 1
+            self.carried = False
+            if carried <= self.gate and exact > self.eps:
+                self.gate = carried * self.eps / exact
+
+    def status(self, x, n: int, max_iter: int, stop: SolveStatus | None = None) -> SolveStatus | None:
+        """Status the run ends with at x after n iterations, or None to go on;
+        stop is one the caller's own test gives here (nna's certificate)."""
+        ending = stop is not None or n >= max_iter
+        last = self.values[-1]
+        if self.carried and (last <= self.gate or ending or not math.isfinite(last)):
+            self.confirm(x)
+            last = self.values[-1]
+        if self.carried:
+            return None
+        if not math.isfinite(last):
+            return SolveStatus.BREAKDOWN
+        if last <= self.eps:
+            return SolveStatus.CONVERGED
+        if ending:
+            return SolveStatus.MAX_ITERATIONS if stop is None else stop
+        return None
+
+
 def _require_nonnegative(A: SparseMatrix):
     if A.values.size and float(A.values.min()) < 0.0:
         raise NegativeEntry("matrix has negative entries; embed it first (general_solve)")
@@ -229,7 +290,9 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
     t=None picks the automatic value: zero when b is already positive, else
     twice the smallest shift that clears every row by a data-driven margin,
     doubled until b_t > 0 and t is at least the crude solution-scale estimate
-    ||b||_1 / min_j a_(.j) (a proxy for keeping x + t*1 positive).
+    ||b||_1 / min_j a_(.j) (a proxy for keeping x + t*1 positive).  Where
+    that doubling cannot end (a zero t, when a row sum overflows, or a t
+    that would pass the largest float) it raises NonFiniteValue.
     """
     b = as_vector(b, "b")
     if b.shape != (A.nrows,):
@@ -250,7 +313,9 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
         base = max(0.0, float(((eps_b - b[pos]) / row_sums[pos]).max()))
         t_val = 2.0 * base
         scale = float(np.abs(b).sum()) / col_min
-        while not (np.all(b + t_val * row_sums > 0.0) and t_val >= scale):
+        while not (t_val >= scale and np.all(b + t_val * row_sums > 0.0)):
+            if not t_val < 2.0 * t_val < math.inf:
+                raise NonFiniteValue(f"the automatic shift cannot grow from t = {t_val:g} to a finite value that clears b")
             t_val *= 2.0
     else:
         t_val = float(t)
@@ -348,28 +413,28 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     block of P's slack columns) the residual of the original system is
     r[:m1] - tie r[m1:], and that is what is tracked; tie is None otherwise.
     Neither is the residual of the returned x = recover(x_tilde) - t: the
-    subtraction of a large t cancels digits.  So once the tracked residual
-    reaches the gate (eps at first), the residual of the returned x is
-    recomputed from A and b with one product; the run converges only if that
-    value is within eps, else the gate is lowered by the observed ratio and
-    the iteration goes on.  On any exit the last trace entry is the
-    recomputed residual of the returned x.
+    subtraction of a large t cancels digits.  So every tracked residual is a
+    carried entry of the run's _ResidualGate, whose recompute is the
+    residual of the returned x from A and b: the run stops, and converges,
+    as that gate decides, like every baseline.
 
     Each pass of the loop is one row, one iterate: the product M x_tilde,
     the tracked residual, the ratio c = q / (M x_tilde) written into a row of
     a preallocated block, and the update through _update, which nna_step
-    shares.  The rows form blocks.  A block ends at the first row whose
-    residual reaches the gate, or once it holds width rows; under that bound
-    the certificate and max_iter can only fire on a block's last row.  There
-    one reduction gives every row's divergence sum q log c, the typed checks
-    of _ratio and kl_divergence run only on a row whose divergence is not
-    finite, and the recheck and the stopping rules are applied in row order.
-    So the run stops on the row a row-by-row check would, and no product is
-    computed past it.  A block holds at most _BLOCK_ENTRIES ratio entries, so
-    it stays in cache; at m = 10 the certificate stride (50 rows) bounds it
-    first.  The arithmetic matches nna_step and kl_divergence bit for bit:
-    sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector, and each
-    row of the block reduction is what np.sum computes on that row.
+    shares.  The loop counts each product where it makes it; matvec_count
+    adds the gate's recomputations.  The rows form blocks.  A block ends at
+    the first row whose residual reaches the gate, or once it holds width
+    rows; under that bound the certificate and max_iter can only fire on a
+    block's last row.  There one reduction gives every row's divergence
+    sum q log c, the typed checks of _ratio and kl_divergence run only on a
+    row whose divergence is not finite, the certificate is tested, and the
+    gate decides.  So the run stops on the row a row-by-row check would, and
+    no product is computed past it.  A block holds at most _BLOCK_ENTRIES
+    ratio entries, so it stays in cache; at m = 10 the certificate stride
+    (50 rows) bounds it first.  The arithmetic matches nna_step and
+    kl_divergence bit for bit: sqrt(d.dot(d)) is what np.linalg.norm
+    computes for a 1-D vector, and each row of the block reduction is what
+    np.sum computes on that row.
 
     Certificate (Csiszar & Tusnady 1984): for x on the simplex g . x = 1 with
     g = M^T (q / M x), so by convexity gap = max_j g_j - 1 >= D(x) - D*.  As
@@ -389,9 +454,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     def original(r):
         return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
 
-    def residual_of(x_tilde):
-        return _norm(original(spmv(A, system.recover(x_tilde) - t) - b))
-
+    gate = _ResidualGate(eps, lambda x_tilde: original(spmv(A, system.recover(x_tilde) - t) - b))
     max_iter = cfg.max_iter
     cap = max(1, _BLOCK_ENTRIES // max(1, q.size))
     block = np.empty((min(cap, _CERTIFICATE_STRIDE, max_iter + 1), q.size))
@@ -400,22 +463,24 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     # attribute or global lookup it saves is a measurable share of it
     a_tilde, b_total = system.a_tilde, system.b_total
     sqrt, divide = math.sqrt, np.divide
-    gate, failed_rechecks, diagnostic = eps, 0, None
+    bound = gate.gate  # the rows test the gate through this local copy
     # typed buffers: 8 bytes an iterate, not a float object and its pointer
-    res_trace, kl_trace = array("d"), array("d")
+    res_trace, kl_trace = gate.values, array("d")
     products: list[np.ndarray] = []
+    made = 0  # products with a_tilde
     n = k = 0  # the iterate, and its row in the open block
     while True:
         if k == 0:
             width = min(_CERTIFICATE_STRIDE - n % _CERTIFICATE_STRIDE, max_iter - n + 1, cap)
         b_n = spmv(a_tilde, xt)
+        made += 1
         d = b_n - q if tie is None else original(b_n - q)
         resid = b_total * sqrt(d.dot(d))
         c_n = divide(q, b_n, rows[k])
         products.append(b_n)
         res_trace.append(resid)
         k += 1
-        if resid <= gate or k == width:
+        if resid <= bound or k == width:
             # the block ends on iterate n
             kls = np.add.reduce(q * np.log(block[:k]), axis=1).tolist()
             if not math.isfinite(sum(kls)):
@@ -431,31 +496,27 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
                 # the normalized start is row 0's sum plus log sum(M x0)
                 kls[0] += math.log(products[0].sum())
             kl_trace.fromlist(kls)
-            if resid <= gate:
-                exact = res_trace[-1] = residual_of(xt)
-                if exact <= eps:
-                    status = SolveStatus.CONVERGED
-                    break
-                failed_rechecks += 1
-                gate = resid * eps / exact
+            stop = None
             if (n + 1) % _CERTIFICATE_STRIDE == 0:
                 # the stride keeps n >= 2, so x_(n-1) is on the simplex
                 gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
                 kl = kl_trace[n - 1]
                 if gap <= _CERTIFICATE_TOL * kl:
-                    status = SolveStatus.STAGNATED_MIN_KL
-                    diagnostic = f"certificate at iterate {n - 1}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
-                    break
-            if n >= max_iter:
-                status = SolveStatus.MAX_ITERATIONS
+                    stop = SolveStatus.STAGNATED_MIN_KL
+            gate.carried = True  # the rows append tracked residuals
+            status = gate.status(xt, n, max_iter, stop)
+            if status is not None:
                 break
+            bound = gate.gate
             products.clear()
             k = 0
         x_prev, xt = xt, _update(system, xt, c_n)
+        made += 1
         n += 1
 
-    if status is not SolveStatus.CONVERGED:
-        res_trace[-1] = residual_of(xt)
+    diagnostic = None
+    if status is SolveStatus.STAGNATED_MIN_KL:
+        diagnostic = f"certificate at iterate {n - 1}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
     return SolveReport(
         status=status,
         iterations=n,
@@ -463,9 +524,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
         residual_trace=np.frombuffer(res_trace),
         kl_trace=np.frombuffer(kl_trace),
         elapsed_ns=0,
-        # one product per iterate and one per update, the recomputed residual
-        # of the returned x, and one per failed recheck
-        matvec_count=2 * n + 2 + failed_rechecks,
+        matvec_count=made + gate.recomputes,
         diagnostic=diagnostic,
         t_shift=t,
     )
@@ -486,9 +545,10 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     and the solve retried a bounded number of times, keeping the best
     attempt; its matvec_count sums the products of every attempt.  Explicit
     t runs, and unshifted runs (b > 0 and x0 > 0), are never retried.  Setup
-    defects (zero column, unshiftable row, zero row with positive b) and
-    values that overflow during the run come back as a BREAKDOWN report
-    carrying a diagnostic instead of an exception.
+    defects (zero column, unshiftable row, zero row with positive b, an
+    automatic shift that cannot stay finite) and values that overflow during
+    the run come back as a BREAKDOWN report carrying a diagnostic instead of
+    an exception.
     """
     return _solve(A, b, x0, cfg, None)
 
@@ -503,7 +563,7 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
 
     try:
         shifted = shift(A, b_arr, cfg.t_shift)
-    except (ZeroColumn, UnshiftableRow) as exc:
+    except (NonFiniteValue, ZeroColumn, UnshiftableRow) as exc:
         return _breakdown(exc, A.ncols, started)
     x_start = np.ones(A.ncols) if x0 is None else as_vector(x0, "x0")
     if x_start.shape != (A.ncols,):

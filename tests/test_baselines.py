@@ -30,11 +30,14 @@ from nnasolve import (
     lanczos_process,
     minres_solve,
     default_tolerance,
+    embed,
+    general_solve,
     nna_solve,
     normal_equation_solve,
     spmv,
 )
-from nnasolve.baselines import _GatedTrace, _cg_core
+from nnasolve.baselines import _cg_core
+from nnasolve.nna import _ResidualGate
 from conftest import dominant_mixed, identity, sparse_of, spd_dominant
 
 
@@ -134,6 +137,48 @@ def test_cg_requires_symmetry():
         cg_solve(sparse_of([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0], cfg=CFG)
 
 
+def _symmetric(rng, m, signs, decades):
+    """Q diag(lambda) Q^T with |lambda| spread over the given decades, of either sign if signs."""
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    lam = np.logspace(0, decades, m) * (rng.choice([-1.0, 1.0], m) if signs else 1.0)
+    dense = Q @ np.diag(lam) @ Q.T
+    return (dense + dense.T) / 2.0
+
+
+def _condition_1e8(seed):
+    """SPD Q diag(logspace(0, 8, 40)) Q^T and a standard normal b."""
+    rng = np.random.default_rng(seed)
+    return sparse_of(_symmetric(rng, 40, False, 8)), rng.standard_normal(40)
+
+
+def test_cg_converges_only_on_a_recomputed_residual():
+    # at condition 1e8 the CG recurrence residual drifts below 1e-10 ||b||
+    # while b - A x stays above it (seed 0: 0.54 eps against 17.8 eps), and
+    # every one of these runs used to report converged on the drifted value
+    for seed in range(20):
+        A, b = _condition_1e8(seed)
+        eps = 1e-10 * float(np.linalg.norm(b))
+        report = cg_solve(A, b, cfg=SolverConfig(eps_tol=eps, max_iter=2_000))
+        true = np.linalg.norm(b - spmv(A, report.x))
+        assert report.residual_trace[-1] == true
+        assert report.status is not SolveStatus.CONVERGED or true <= eps
+
+
+def test_cg_restarts_from_a_replaced_residual():
+    # at 1e-9 ||b|| the first confirmation fails on all but seed 0; restarting
+    # from the recomputed residual converges on six of these eight systems,
+    # keeping the old direction across it on one
+    converged = []
+    for seed in range(8):
+        A, b = _condition_1e8(seed)
+        eps = 1e-9 * float(np.linalg.norm(b))
+        report = cg_solve(A, b, cfg=SolverConfig(eps_tol=eps, max_iter=5_000))
+        if report.status is SolveStatus.CONVERGED:
+            assert np.linalg.norm(b - spmv(A, report.x)) == report.residual_trace[-1] <= eps
+            converged.append(seed)
+    assert converged == [0, 2, 3, 4, 5, 7]
+
+
 def test_cg_directions_are_conjugate():
     # conjugacy is a finite-precision casualty on long runs; well-conditioned
     # instances that converge in well under m steps keep it observable at 1e-8
@@ -148,8 +193,7 @@ def test_cg_directions_are_conjugate():
             return dense @ v
 
         rhs = rng.uniform(-1, 1, m)
-        trace = _GatedTrace(float(np.linalg.norm(rhs)), 1e-10)
-        _cg_core(apply_op, rhs, np.zeros(m), trace, 100_000, lambda r, alpha: float(np.linalg.norm(r)))
+        _cg_core(apply_op, rhs, np.zeros(m), _ResidualGate(1e-10, first=rhs), 100_000)
         P = np.column_stack(applied)  # from a zero x0 every product is by a direction
         gram = P.T @ dense @ P
         scale = np.sqrt(np.diag(gram))
@@ -367,6 +411,61 @@ def test_lanczos_tridiagonal_matches_arnoldi_on_symmetric():
     np.testing.assert_allclose(Vl, Va, rtol=0, atol=1e-8)
 
 
+def _givens_every_rotation(h, rotations):
+    """The Givens factor with every earlier rotation applied, zero pairs included."""
+    h = h.tolist()
+    for i, (c, s) in enumerate(rotations):
+        h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+    rho = math.hypot(h[-2], h[-1])
+    c, s = (h[-2] / rho, h[-1] / rho) if rho else (0.0, 1.0)
+    rotations.append((c, s))
+    return abs(s)
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+def test_lanczos_skips_only_rotations_that_change_nothing(monkeypatch, k):
+    # a Lanczos column is zero above row j - 1, so rotating it by the first
+    # j - 2 rotations changes nothing; skipping them keeps every MINRES
+    # trace entry, iterate and count bit for bit, cycles that stop early included
+    rng = np.random.default_rng(20)
+    dense = _symmetric(rng, 40, True, 3.0)
+    A, b = sparse_of(dense), rng.uniform(-1.0, 1.0, 40)
+    cfg = SolverConfig(eps_tol=1e-10 * float(np.linalg.norm(b)), max_iter=60)
+    applied = []
+    givens = nnasolve.baselines._givens
+
+    class Seen(list):
+        """A list of rotations that counts the ones read from it."""
+
+        reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            for rotation in super().__iter__():
+                self.reads += 1
+                yield rotation
+
+    def counting(h, rotations):
+        seen = Seen(rotations)
+        factor = givens(h, seen)
+        applied.append(seen.reads)
+        rotations.append(seen.pop())
+        return factor
+
+    monkeypatch.setattr(nnasolve.baselines, "_givens", counting)
+    report = minres_solve(A, b, k=k, cfg=cfg)
+    monkeypatch.setattr(nnasolve.baselines, "_givens", _givens_every_rotation)
+    reference = minres_solve(A, b, k=k, cfg=cfg)
+    assert report.status is reference.status
+    assert (report.iterations, report.matvec_count) == (reference.iterations, reference.matvec_count)
+    np.testing.assert_array_equal(report.residual_trace, reference.residual_trace)
+    np.testing.assert_array_equal(report.x, reference.x)
+    assert max(applied) == min(k - 1, 2)
+
+
 @st.composite
 def invariant_blocks(draw):
     """A block-diagonal symmetric A, r0 inside its first block of size d, and that d.
@@ -423,15 +522,17 @@ def test_gmres_calls_the_builder_by_its_module_name(monkeypatch):
 
 
 def _count_products(monkeypatch):
+    """Record (columns of the matrix, vector) of every kernel call the solvers make."""
     calls = []
-    for name in ("spmv", "spmv_transpose"):
-        kernel = getattr(nnasolve.baselines, name)
+    for module in (nnasolve.nna, nnasolve.baselines):
+        for name in ("spmv", "spmv_transpose"):
+            kernel = getattr(module, name)
 
-        def counted(A, v, kernel=kernel):
-            calls.append(v)
-            return kernel(A, v)
+            def counted(A, v, kernel=kernel):
+                calls.append((A.ncols, v))
+                return kernel(A, v)
 
-        monkeypatch.setattr(nnasolve.baselines, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -449,49 +550,77 @@ def _record_cycles(monkeypatch):
     return cycles
 
 
-@st.composite
-def restarted_runs(draw):
-    """A random nonsingular system of size 2-30, a restart length k in 1..6 and a run config.
+def _nonnegative(rng, m):
+    """Nonnegative with about a third of its off-diagonal entries zero and a positive diagonal."""
+    dense = rng.uniform(0.0, 1.0, (m, m)) * (rng.uniform(size=(m, m)) < 0.7)
+    np.fill_diagonal(dense, rng.uniform(1.0, 2.0, m))
+    return dense
 
-    Nonsymmetric and strictly row-dominant for GMRES; symmetric for MINRES,
-    Q diag(lambda) Q^T with eigenvalues of either sign and 0.5 <= |lambda| <= 2.
-    """
-    symmetric = draw(st.booleans())
-    m = draw(st.integers(2, 30))
+
+# each solver on systems it accepts; the NNA solvers shift b, which may have any sign
+_EVERY_SOLVER = {
+    "nna": (lambda A, b, k, cfg: nna_solve(A, b, cfg=cfg), _nonnegative),
+    "general": (lambda A, b, k, cfg: general_solve(A, b, cfg=cfg), lambda rng, m: dominant_mixed(rng, m)),
+    "jacobi": (lambda A, b, k, cfg: jacobi_solve(A, b, cfg=cfg), lambda rng, m: dominant_mixed(rng, m)),
+    "gauss-seidel": (lambda A, b, k, cfg: gauss_seidel_solve(A, b, cfg=cfg), lambda rng, m: dominant_mixed(rng, m)),
+    # condition numbers up to 1e8: the CG recurrence residual drifts from b - A x
+    "cg": (lambda A, b, k, cfg: cg_solve(A, b, cfg=cfg), lambda rng, m: _symmetric(rng, m, False, rng.uniform(0, 8))),
+    "gmres": (lambda A, b, k, cfg: gmres_restarted(A, b, k=k, cfg=cfg), lambda rng, m: dominant_mixed(rng, m)),
+    "minres": (lambda A, b, k, cfg: minres_solve(A, b, k=k, cfg=cfg), lambda rng, m: _symmetric(rng, m, True, 0.6)),
+    "normal-cg": (
+        lambda A, b, k, cfg: normal_equation_solve(A, b, cfg=cfg), lambda rng, m: dominant_mixed(rng, m)
+    ),
+}
+
+
+@st.composite
+def solver_runs(draw):
+    """A solver, a random system of size 2-16 it accepts, a restart length k in 1..6 and a run config."""
+    solver = draw(st.sampled_from(sorted(_EVERY_SOLVER)))
+    m = draw(st.integers(2, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if symmetric:
-        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
-        dense = Q @ np.diag(rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)) @ Q.T
-        dense = (dense + dense.T) / 2.0
-    else:
-        dense = dominant_mixed(rng, m)
+    dense = _EVERY_SOLVER[solver][1](rng, m)
     b = rng.uniform(-1.0, 1.0, m)
     # down to 1e-16 ||b||, where steps fall below rounding and restarts stall
     eps = 10.0 ** draw(st.integers(-16, -2)) * float(np.linalg.norm(b))
-    cfg = SolverConfig(eps_tol=eps, max_iter=draw(st.integers(0, 40)))
-    return symmetric, dense, b, draw(st.integers(1, 6)), cfg
+    cfg = SolverConfig(eps_tol=eps, max_iter=draw(st.integers(0, 200)))
+    return solver, dense, b, draw(st.integers(1, 6)), cfg
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=restarted_runs())
-def test_restarted_runs_end_on_the_recomputed_residual(case):
-    # cycles stop early and restarts carry their residual, but every exit
-    # reports the residual of the returned x, and every product is counted
-    symmetric, dense, b, k, cfg = case
+@settings(max_examples=300, deadline=None)
+@given(case=solver_runs())
+def test_every_solver_ends_on_the_recomputed_residual(case):
+    # residuals are carried by recurrences, restarts and the rescaled NNA
+    # system, but every exit reports the residual of the returned x, every
+    # convergence rests on it, and every product is counted
+    solver, dense, b, k, cfg = case
     A = sparse_of(dense)
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_products(patch)
-        solve = minres_solve if symmetric else gmres_restarted
-        report = solve(A, b, k=k, cfg=cfg)
-    assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x))
+        report = _EVERY_SOLVER[solver][0](A, b, k, cfg)
+    true = np.linalg.norm(b - spmv(A, report.x))
+    last = report.residual_trace[-1]
     assert report.residual_trace.size == report.iterations + 1
-    if report.status is SolveStatus.CONVERGED:
-        assert report.residual_trace[-1] <= cfg.eps_tol
-    elif report.status is SolveStatus.MAX_ITERATIONS:
-        assert report.iterations == cfg.max_iter
+    if solver in ("general", "jacobi"):
+        # general_solve maps the residual of the embedded iterate through the
+        # tie block, and Jacobi sums b - (A - D) x - D x; both are the residual
+        # of the returned x up to rounding
+        scale = np.abs(dense).sum() * (np.abs(report.x).max() + 1.0) + np.abs(b).sum()
+        assert last == pytest.approx(true, rel=1e-9, abs=1e-12 * scale)
     else:
-        assert report.status is SolveStatus.BREAKDOWN and "left x unchanged" in report.diagnostic
-    assert len(calls) == report.matvec_count
+        assert last == true
+    if report.status is SolveStatus.CONVERGED:
+        assert last <= cfg.eps_tol
+    elif report.status is SolveStatus.BREAKDOWN:
+        assert solver in ("gmres", "minres", "normal-cg") and "x unchanged" in report.diagnostic
+    else:
+        assert report.status in (SolveStatus.MAX_ITERATIONS, SolveStatus.STAGNATED_MIN_KL)
+        assert report.status is SolveStatus.MAX_ITERATIONS or solver in ("nna", "general")
+    # uncounted: shift's row sums A 1, and general_solve's tie block, the only
+    # matrix the solvers use with fewer columns than the one they iterate
+    iterated = A.ncols + (embed(A, b).J if solver == "general" else 0)
+    products = sum(ncols == iterated for ncols, _ in calls)
+    assert products - (solver in ("nna", "general")) == report.matvec_count
 
 
 def test_a_cycle_stops_at_the_step_that_reaches_the_target(monkeypatch):
@@ -604,6 +733,20 @@ def test_normal_cg_counts_every_product(monkeypatch):
     assert len(calls) == report.matvec_count == 6
 
 
+def test_normal_cg_stops_where_its_recurrence_residual_is_zero():
+    # A^T s rounds to exactly 0 at iteration 22 while ||s|| = 5.6e-17 is above
+    # eps, so the next direction is 0; the run used to multiply by it and raise
+    # IndefiniteBreakdown on a positive definite A^T A
+    A = sparse_of([[1.77369681, -0.46042657], [-0.91805295, 2.33080853]])
+    b = np.array([0.21327155, 0.45899312])
+    report = normal_equation_solve(A, b, cfg=SolverConfig(eps_tol=5.06e-17, max_iter=100))
+    assert report.status is SolveStatus.BREAKDOWN and report.iterations == 22
+    assert report.diagnostic.startswith("iteration 22: r = 0, so a step would leave x unchanged")
+    # A^T b, two products a step and one confirmation, none by the zero direction
+    assert report.matvec_count == 1 + 2 * 22 + 1
+    assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) > 5.06e-17
+
+
 _START_PRODUCTS = {
     "gmres": (lambda A, b, x0, cfg: gmres_restarted(A, b, x0=x0, k=3, cfg=cfg), 1),
     "minres": (lambda A, b, x0, cfg: minres_solve(A, b, x0=x0, k=3, cfg=cfg), 1),
@@ -639,7 +782,7 @@ def test_a_zero_start_makes_no_product(monkeypatch, solver, start):
     report = solve(A, b, x0, CFG)
     assert report.status is SolveStatus.CONVERGED and report.iterations >= 1
     assert len(calls) == report.matvec_count
-    assert all(v.any() for v in calls)  # no product by a zero vector
+    assert all(v.any() for _, v in calls)  # no product by a zero vector
     assert np.abs(report.x - np.linalg.solve(dense, b)).max() <= 1e-8
 
 

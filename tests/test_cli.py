@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nnasolve import write_matrix_market, gen_sparse_random
+from nnasolve import from_triplets, write_matrix_market, gen_sparse_random
 from nnasolve.cli import main
 from conftest import sparse_of
 
@@ -149,6 +149,22 @@ def test_overflowing_shift_is_breakdown_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "breakdown" in out
     assert "NonFiniteValue" in out
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1.0)], [(0, 0, 1e-320), (0, 1, 1.0)]],
+    ids=["row-sum-overflows", "scale-overflows"],
+)
+def test_an_auto_shift_that_cannot_stay_finite_is_breakdown_exit_code(tmp_path, capsys, entries):
+    # both systems used to hang in the automatic shift's doubling loop
+    mtx, vec = tmp_path / "s.mtx", tmp_path / "s.rhs"
+    write_matrix_market(from_triplets(2, 2, entries), mtx)
+    vec.write_text("-1 1\n")
+    code = run(["solve", "--matrix", str(mtx), "--rhs", str(vec), "--solver", "nna,general", "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.count("breakdown") >= 2 and "NonFiniteValue" in out
 
 
 def _huge_rhs_argv(tmp_path, solver):

@@ -213,7 +213,7 @@ def test_general_solve_residual_trace_is_original_system():
     assert report.status is SolveStatus.CONVERGED
     assert report.residual_trace[-1] == pytest.approx(np.linalg.norm(dense @ report.x - b), abs=1e-9)
     assert report.residual_trace[-1] <= 1e-9
-    # one product with P per half-step plus the one recheck that confirmed convergence
+    # one product with P per half-step plus the one confirmation of convergence
     assert report.matvec_count == 2 * report.iterations + 2
     # entry k is ||A x_k - b|| for the x_k a run capped at k iterations returns,
     # up to the rounding of working at shift t: eps * t * sum|P|, about 2e-13 here

@@ -943,3 +943,41 @@ def test_no_product_past_the_stop(monkeypatch, case, expected):
     report = nna_solve(A, b, cfg=cfg)
     assert report.status is expected
     assert len(calls) == report.matvec_count + 1
+
+
+def test_a_failed_confirmation_on_the_last_row_is_made_once(monkeypatch):
+    # at max_iter = 264 the tracked residual first reaches the gate on the
+    # row where the run stops, and b - A x is above eps there; the loop used
+    # to recompute that x a second time on the way out, 531 products in all
+    calls = _counting_kernels(monkeypatch)
+    A, b, cfg = _dense_shifted_case()
+    report = nna_solve(A, b, cfg=replace(cfg, max_iter=264))
+    assert report.status is SolveStatus.MAX_ITERATIONS
+    # 265 products M x, 264 updates and one confirmation
+    assert report.matvec_count == 530
+    assert len(calls) == report.matvec_count + 1
+    assert report.residual_trace[-1] == float(np.linalg.norm(spmv(A, report.x) - b)) > cfg.eps_tol
+
+
+_UNSHIFTABLE = {
+    # the first row sum overflows, so the base shift is 0 and doubling never grows it
+    "row-sum-overflows": from_triplets(2, 2, [(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1.0)]),
+    # ||b||_1 / min column sum overflows, so t doubles past the largest float
+    "scale-overflows": from_triplets(2, 2, [(0, 0, 1e-320), (0, 1, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("A", _UNSHIFTABLE.values(), ids=_UNSHIFTABLE.keys())
+def test_an_auto_shift_that_cannot_stay_finite_is_breakdown(A):
+    # both used to loop in shift forever; the shift names the defect, and the
+    # solvers report it as a setup breakdown
+    with pytest.raises(NonFiniteValue, match="automatic shift"):
+        shift(A, [-1.0, 1.0])
+    for solve in (nna_solve, general_solve):
+        report = solve(A, [-1.0, 1.0])
+        assert report.status is SolveStatus.BREAKDOWN
+        assert report.diagnostic.startswith("NonFiniteValue: the automatic shift")
+
+
+def test_a_positive_b_needs_no_shift_even_when_row_sums_overflow():
+    assert shift(_UNSHIFTABLE["row-sum-overflows"], [1.0, 2.0]).t == 0.0
