@@ -77,10 +77,15 @@ def _report(status, x, gate, started, products, diagnostic=None):
     )
 
 
+def _start_residual(A: SparseMatrix, b, x) -> tuple[np.ndarray, int]:
+    """b - A x and the products it took: none at a zero x, where it is b."""
+    return (b - spmv(A, x), 1) if x.any() else (b, 0)
+
+
 def _start(A: SparseMatrix, b, x, eps) -> tuple[_ResidualGate, int]:
     """The gate of a run that carries b - A x from x, and the products its
-    first entry took: none at a zero x, where it is b."""
-    r, products = (b - spmv(A, x), 1) if x.any() else (b, 0)
+    first entry took."""
+    r, products = _start_residual(A, b, x)
     return _ResidualGate(eps, lambda x: b - spmv(A, x), first=r), products
 
 
@@ -114,15 +119,14 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg)
     diag, A_off = _split_diagonal(A)
-    products = int(x.any())
-    y = spmv(A_off, x) if products else 0.0  # A_off x
-    gate = _ResidualGate(eps, first=b - y - diag * x)
+    s, products = _start_residual(A_off, b, x)  # b - (A - D) x
+    gate = _ResidualGate(eps, first=s - diag * x)
     n = 0
     while (status := gate.status(x, n, cfg.max_iter)) is None:
-        x = (b - y) / diag
-        y = spmv(A_off, x)
+        x = s / diag
+        s = b - spmv(A_off, x)
         products += 1
-        gate.add(b - y - diag * x)
+        gate.add(s - diag * x)
         n += 1
     return _report(status, x, gate, started, products)
 
@@ -141,7 +145,7 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
     T = A_off.transpose()  # column j of T = row j of A_off
     ptr, idx, vals = T.col_ptr.tolist(), T.row_idx, T.values
 
-    r, products = (b - spmv(A, x), 1) if x.any() else (b, 0)
+    r, products = _start_residual(A, b, x)
     gate = _ResidualGate(eps, first=r)
     n = 0
     while (status := gate.status(x, n, cfg.max_iter)) is None:

@@ -981,3 +981,41 @@ def test_an_auto_shift_that_cannot_stay_finite_is_breakdown(A):
 
 def test_a_positive_b_needs_no_shift_even_when_row_sums_overflow():
     assert shift(_UNSHIFTABLE["row-sum-overflows"], [1.0, 2.0]).t == 0.0
+
+
+def test_a_run_that_ends_on_a_recomputed_residual_within_eps_converges():
+    # at max_iter = 0 the tracked residual of the start is 1.3e-14, above
+    # eps, but the returned x solves the system exactly; the run used to end
+    # as max_iterations on a confirmed residual of 0
+    A = sparse_of([[4.0, 1.0], [7.0, 5.0]])
+    report = nna_solve(A, [37.0, 81.0], x0=[8.0, 5.0], cfg=SolverConfig(eps_tol=1e-15, max_iter=0))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 0 and report.residual_trace.tolist() == [0.0]
+    # one product M x_tilde and the confirmation
+    assert report.matvec_count == 2
+
+
+@pytest.mark.parametrize(
+    "start, expected, products",
+    [
+        # tracked ||A x0 - b|| overflows in the rescaled coordinates but the
+        # recomputed one, 1e200 * sqrt(m), is finite: the run goes on and
+        # converges at iterate 1 (the loop used to skip the confirmation: 4)
+        (1e200, SolveStatus.CONVERGED, 5),
+        # b - A x0 overflows too, so the start is a breakdown (the loop used
+        # to go on and converge at iterate 1)
+        (1e308, SolveStatus.BREAKDOWN, 2),
+    ],
+)
+def test_a_non_finite_tracked_residual_is_confirmed(monkeypatch, start, expected, products):
+    # more rows than a block holds entries, so each iterate is its own block
+    # and iterate 0 is a block end that does not end the run
+    m = nnasolve.nna._BLOCK_ENTRIES + 1
+    calls = _counting_kernels(monkeypatch)
+    report = nna_solve(identity(m), np.ones(m), x0=np.full(m, start), cfg=SolverConfig(eps_tol=1e-8, max_iter=5))
+    assert report.status is expected
+    assert report.matvec_count == products and len(calls) == products + 1
+    # ||x0 - 1||, scaled against overflow as the solvers' norm is
+    true = math.hypot(*np.full(m, start - 1.0))
+    assert report.residual_trace[0] == pytest.approx(true, rel=1e-12)
+    assert report.iterations == (1 if math.isfinite(true) else 0)
