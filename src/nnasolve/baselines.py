@@ -259,38 +259,19 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
 _INVARIANT_REL = 1e-12
 
 
-def _givens(h, rotations: list) -> float:
-    """|sin| of the Givens rotation that zeroes the subdiagonal of column h of H.
-
-    h is H[:j+2, j].  The rotations of the columns before it are applied to a
-    copy of it first, and the new one is appended to rotations.  The
-    least-squares residual min ||beta e1 - H y|| over the first j + 1
-    columns is beta times the product of these factors (Saad & Schultz 1986).
-    A column the earlier ones already span (diagonal and subdiagonal both zero
-    after rotation) leaves it unchanged: factor 1.  A rotation of two zeros
-    leaves two zeros, so the leading rotations whose pair is zero in h are
-    skipped: a Lanczos column, zero above row j - 1, takes only the last two.
-    """
-    h = h.tolist()
-    first = 0
-    while first < len(rotations) and not (h[first] or h[first + 1]):
-        first += 1
-    for i in range(first, len(rotations)):
-        c, s = rotations[i]
-        h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-    rho = math.hypot(h[-2], h[-1])
-    c, s = (h[-2] / rho, h[-1] / rho) if rho else (0.0, 1.0)
-    rotations.append((c, s))
-    return abs(s)
-
-
 def _build_basis(A, r0, k, target, orthogonalize):
-    """Basis loop both builders share; orthogonalize(w, vs, H, j) fills H[:j+1, j]."""
+    """Basis loop both builders share; orthogonalize(w, vs, H, j) fills H[:j+1, j].
+
+    Given a target, u traces the left null vector of H[:j+2, :j+1] (u_0 = 1),
+    so the least-squares residual min ||beta e1 - H y|| is beta / ||u||.  A
+    zero subdiagonal never divides: it ends the loop on the invariance test.
+    """
     r0 = np.asarray(r0, dtype=np.float64)
-    residual = _norm(r0)
-    vs = [r0 / residual]
+    beta = _norm(r0)
+    vs = [r0 / beta]
     H = np.zeros((k + 1, k))
-    rotations: list[tuple[float, float]] = []
+    u = np.zeros(k + 1)
+    u[0] = 1.0
     for j in range(k):
         w = spmv(A, vs[j])
         orthogonalize(w, vs, H, j)
@@ -299,8 +280,8 @@ def _build_basis(A, r0, k, target, orthogonalize):
             return np.column_stack(vs), H[: j + 2, : j + 1]
         vs.append(w / H[j + 1, j])
         if target is not None:
-            residual *= _givens(H[: j + 2, j], rotations)
-            if residual <= target:
+            u[j + 1] = -float(H[: j + 1, j] @ u[: j + 1]) / H[j + 1, j]
+            if beta <= target * _norm(u[: j + 2]):
                 return np.column_stack(vs), H[: j + 2, : j + 1]
     return np.column_stack(vs), H
 
@@ -331,7 +312,7 @@ def arnoldi_process(
     found the Krylov space invariant (subdiagonal at most _INVARIANT_REL times
     its column norm, which is ||A v_j||).  Given a target, the run also ends
     at the first step whose least-squares residual min ||beta e1 - H y||,
-    traced by Givens rotations, is at most target.
+    read off the left null vector of H as beta / ||u||, is at most target.
     """
     return _build_basis(A, r0, k, target, _gram_schmidt)
 
@@ -374,8 +355,9 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> S
         V, H = process(A, gate.residual, k, gate.gate)
         steps = H.shape[1]
         products += steps
-        if not np.isfinite(H).all():  # a product overflowed; LAPACK would reject H
+        if not np.isfinite(H).all():  # LAPACK would reject H
             status = SolveStatus.BREAKDOWN
+            diagnostic = f"restart {restarts + 1}: H is not finite after {steps} steps: a product overflowed"
             break
         z = np.zeros(steps + 1)
         z[0] = gate.values[-1]

@@ -204,7 +204,9 @@ class _ResidualGate:
     that reaches the gate (eps at first), is not finite or ends the run: it
     becomes the norm of recompute(x) = b - A x, one product counted in
     recomputes, and residual becomes that vector.  A failed confirmation of
-    an entry that reached the gate lowers the gate by the observed ratio.
+    an entry that reached the gate lowers the gate by the observed ratio,
+    unless the entry is 0: that ratio says nothing about drift, and a gate
+    of 0 would confirm no later entry above 0.
     On a confirmed entry, not finite is BREAKDOWN, within eps CONVERGED,
     then the caller's stop, then max_iter MAX_ITERATIONS; so every exit
     through status() or confirm() ends on the residual of the returned x.
@@ -234,7 +236,7 @@ class _ResidualGate:
             self.values[-1] = exact = _norm(self.residual)
             self.recomputes += 1
             self.carried = False
-            if carried <= self.gate and exact > self.eps:
+            if 0.0 < carried <= self.gate and exact > self.eps:
                 self.gate = carried * self.eps / exact
 
     def status(self, x, n: int, max_iter: int, stop: SolveStatus | None = None) -> SolveStatus | None:

@@ -164,6 +164,20 @@ def test_cg_converges_only_on_a_recomputed_residual():
         assert report.status is not SolveStatus.CONVERGED or true <= eps
 
 
+def test_cg_keeps_confirming_after_a_carried_zero():
+    # eigenvalues 1 and 8.4e7, eps below what CG attains: at iterate 26 the
+    # recurrence residual is exactly 0 and its confirmation fails; the gate
+    # must stay above 0, or no later carried value is confirmed until r^T r
+    # underflows and the run ends as breakdown (after 67 iterations here)
+    A = sparse_of([[3285865.8166930215, -3592963.1781493993], [-3592963.1781493993, 3928764.0866475417]])
+    b = np.array([-0.8154539668934158, 0.18520551390942064])
+    eps = 8.362214147608638e-11
+    report = cg_solve(A, b, cfg=SolverConfig(eps_tol=eps, max_iter=200))
+    assert report.status is SolveStatus.CONVERGED
+    assert (report.iterations, report.matvec_count) == (86, 100)
+    assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) <= eps
+
+
 def test_cg_restarts_from_a_replaced_residual():
     # at 1e-9 ||b|| the first confirmation fails on all but seed 0; restarting
     # from the recomputed residual converges on six of these eight systems,
@@ -263,23 +277,25 @@ def _huge(a):
 _DIAG = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 2.0)])
 # A v0 = (sqrt(2) a, 0) for v0 = b / ||b||: it overflows at a = 1.7e308
 _OVERFLOWING = _huge(1.7e308)
+_OVERFLOWED = "restart 1: H is not finite after 2 steps: a product overflowed"
 
 
 @pytest.mark.parametrize(
-    "solve, A, b",
+    "solve, A, b, diagnostic",
     [
-        (cg_solve, _DIAG, [1e300, 1e300]),
-        (normal_equation_solve, _DIAG, [1e300, 1e300]),
-        (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), _OVERFLOWING, [1.0, 1.0]),
-        (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), _OVERFLOWING, [1.0, 1.0]),
+        (cg_solve, _DIAG, [1e300, 1e300], "r^T r = inf"),
+        (normal_equation_solve, _DIAG, [1e300, 1e300], "r^T r = inf"),
+        (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), _OVERFLOWING, [1.0, 1.0], _OVERFLOWED),
+        (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), _OVERFLOWING, [1.0, 1.0], _OVERFLOWED),
     ],
     ids=["cg", "normal-cg", "gmres-overflowing-basis", "minres-overflowing-basis"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nonfinite_values_are_breakdown(solve, A, b):
+def test_nonfinite_values_are_breakdown(solve, A, b, diagnostic):
     report = solve(A, b, cfg=SolverConfig(max_iter=20))
     assert report.status is SolveStatus.BREAKDOWN
     assert report.residual_trace.size == report.iterations + 1
+    assert report.diagnostic.startswith(diagnostic)
 
 
 @pytest.mark.parametrize("solve", [gmres_restarted, minres_solve], ids=["gmres", "minres"])
@@ -338,19 +354,26 @@ def test_arnoldi_orthonormal_basis():
 
 
 def test_gmres_inner_least_squares_residual_nonincreasing():
+    # for both builders; a target between the residuals of steps j - 1 and j
+    # stops the cycle after exactly j steps
     rng = np.random.default_rng(4)
     dense = rng.uniform(-1, 1, (30, 30))
     r0 = rng.uniform(-1, 1, 30)
-    _, H = arnoldi_process(sparse_of(dense), r0, 10)
     beta = np.linalg.norm(r0)
-    resids = []
-    for j in range(1, H.shape[1] + 1):
-        e1 = np.zeros(j + 1)
-        e1[0] = beta
-        H_j = H[: j + 1, :j]
-        y = np.linalg.lstsq(H_j, e1, rcond=None)[0]
-        resids.append(np.linalg.norm(H_j @ y - e1))
-    assert all(resids[i + 1] <= resids[i] + 1e-12 for i in range(len(resids) - 1))
+    for process, matrix in ((arnoldi_process, dense), (lanczos_process, (dense + dense.T) / 2)):
+        A = sparse_of(matrix)
+        _, H = process(A, r0, 10)
+        resids = [beta]
+        for j in range(1, H.shape[1] + 1):
+            e1 = np.zeros(j + 1)
+            e1[0] = beta
+            H_j = H[: j + 1, :j]
+            y = np.linalg.lstsq(H_j, e1, rcond=None)[0]
+            resids.append(np.linalg.norm(H_j @ y - e1))
+        assert all(resids[i + 1] <= resids[i] + 1e-12 for i in range(len(resids) - 1))
+        for j in range(1, H.shape[1] + 1):
+            _, H_stop = process(A, r0, 10, (resids[j - 1] + resids[j]) / 2)
+            assert H_stop.shape == (j + 1, j)
 
 
 def test_minres_identity_and_indefinite():
@@ -409,61 +432,6 @@ def test_lanczos_tridiagonal_matches_arnoldi_on_symmetric():
     assert Ha.shape == Hl.shape == (7, 6)
     np.testing.assert_allclose(Hl, Ha, rtol=0, atol=1e-8)
     np.testing.assert_allclose(Vl, Va, rtol=0, atol=1e-8)
-
-
-def _givens_every_rotation(h, rotations):
-    """The Givens factor with every earlier rotation applied, zero pairs included."""
-    h = h.tolist()
-    for i, (c, s) in enumerate(rotations):
-        h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-    rho = math.hypot(h[-2], h[-1])
-    c, s = (h[-2] / rho, h[-1] / rho) if rho else (0.0, 1.0)
-    rotations.append((c, s))
-    return abs(s)
-
-
-@pytest.mark.parametrize("k", [2, 5, 20])
-def test_lanczos_skips_only_rotations_that_change_nothing(monkeypatch, k):
-    # a Lanczos column is zero above row j - 1, so rotating it by the first
-    # j - 2 rotations changes nothing; skipping them keeps every MINRES
-    # trace entry, iterate and count bit for bit, cycles that stop early included
-    rng = np.random.default_rng(20)
-    dense = _symmetric(rng, 40, True, 3.0)
-    A, b = sparse_of(dense), rng.uniform(-1.0, 1.0, 40)
-    cfg = SolverConfig(eps_tol=1e-10 * float(np.linalg.norm(b)), max_iter=60)
-    applied = []
-    givens = nnasolve.baselines._givens
-
-    class Seen(list):
-        """A list of rotations that counts the ones read from it."""
-
-        reads = 0
-
-        def __getitem__(self, i):
-            self.reads += 1
-            return super().__getitem__(i)
-
-        def __iter__(self):
-            for rotation in super().__iter__():
-                self.reads += 1
-                yield rotation
-
-    def counting(h, rotations):
-        seen = Seen(rotations)
-        factor = givens(h, seen)
-        applied.append(seen.reads)
-        rotations.append(seen.pop())
-        return factor
-
-    monkeypatch.setattr(nnasolve.baselines, "_givens", counting)
-    report = minres_solve(A, b, k=k, cfg=cfg)
-    monkeypatch.setattr(nnasolve.baselines, "_givens", _givens_every_rotation)
-    reference = minres_solve(A, b, k=k, cfg=cfg)
-    assert report.status is reference.status
-    assert (report.iterations, report.matvec_count) == (reference.iterations, reference.matvec_count)
-    np.testing.assert_array_equal(report.residual_trace, reference.residual_trace)
-    np.testing.assert_array_equal(report.x, reference.x)
-    assert max(applied) == min(k - 1, 2)
 
 
 @st.composite
