@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndefiniteBreakdown,
-    NotSquare,
-    NotSymmetric,
-    ZeroDiagonal,
-)
-from .nna import SolveReport, SolveStatus, SolverConfig, _norm, _ResidualGate, default_tolerance
-from .sparse import SparseMatrix, as_vector, from_arrays, spmv, spmv_transpose
+from .errors import DimensionMismatch, IndefiniteBreakdown, NotSquare, ZeroDiagonal
+from .nna import SolveReport, SolveStatus, SolverConfig, _norm, _ResidualGate, _setup
+from .sparse import SparseMatrix, _from_canonical, is_symmetric, spmv, spmv_transpose
 
 __all__ = [
     "Dominance",
@@ -41,28 +35,9 @@ __all__ = [
     "normal_equation_solve",
 ]
 
-_SYMMETRY_RTOL = 1e-12  # is_symmetric: |a_ij - a_ji| <= this * max(|a_ij|, |a_ji|)
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-def _setup(A: SparseMatrix, b, x0, cfg, square=True, symmetric=False):
-    """Validate the shape, b and x0, then symmetry if asked; returns (b, x, cfg, eps)."""
-    if square and A.nrows != A.ncols:
-        raise NotSquare(f"solver requires a square matrix, got {A.nrows}x{A.ncols}")
-    b = as_vector(b, "b")
-    if b.shape != (A.nrows,):
-        raise DimensionMismatch(f"b has length {b.size}, expected {A.nrows}")
-    x = np.zeros(A.ncols) if x0 is None else as_vector(x0, "x0").copy()
-    if x.shape != (A.ncols,):
-        raise DimensionMismatch(f"x0 has length {x.size}, expected {A.ncols}")
-    if symmetric and not is_symmetric(A):
-        raise NotSymmetric("solver requires a symmetric matrix")
-    cfg = cfg if cfg is not None else SolverConfig()
-    eps = cfg.eps_tol if cfg.eps_tol is not None else default_tolerance(b)
-    return b, x, cfg, eps
-
 
 def _report(status, x, gate, started, products, diagnostic=None):
     return SolveReport(
@@ -95,20 +70,9 @@ def _split_diagonal(A: SparseMatrix) -> tuple[np.ndarray, SparseMatrix]:
     dead = np.flatnonzero(diag == 0.0)
     if dead.size:
         raise ZeroDiagonal(int(dead[0]))
-    rows, cols, vals = A.triplets()
-    off = rows != cols
-    return diag, from_arrays(A.nrows, A.ncols, rows[off], cols[off], vals[off])
-
-
-def is_symmetric(A: SparseMatrix) -> bool:
-    """Structural and value symmetry within the relative tolerance _SYMMETRY_RTOL."""
-    if A.nrows != A.ncols:
-        return False
-    T = A.transpose()
-    if not (np.array_equal(A.col_ptr, T.col_ptr) and np.array_equal(A.row_idx, T.row_idx)):
-        return False
-    scale = np.maximum(np.abs(A.values), np.abs(T.values))
-    return bool(np.all(np.abs(A.values - T.values) <= _SYMMETRY_RTOL * scale))
+    # A's arrays are canonical, so their masked copies are too
+    off = A.row_idx != A.entry_col
+    return diag, _from_canonical(A.nrows, A.ncols, A.row_idx[off], A.entry_col[off], A.values[off])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +81,7 @@ def is_symmetric(A: SparseMatrix) -> bool:
 def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
     """Jacobi sweeps x_{n+1} = D^{-1} (b - (A - D) x_n); from a zero x_0 the first takes no product."""
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros)
     diag, A_off = _split_diagonal(A)
     s, products = _start_residual(A_off, b, x)  # b - (A - D) x
     gate = _ResidualGate(eps, first=s - diag * x)
@@ -140,7 +104,8 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
     the first traced residual is ||b||, with no product.
     """
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros)
+    x = x.copy()  # the sweep writes x in place
     diag, A_off = _split_diagonal(A)
     T = A_off.transpose()  # column j of T = row j of A_off
     ptr, idx, vals = T.col_ptr.tolist(), T.row_idx, T.values
@@ -181,20 +146,26 @@ def _cg_core(apply_op, r, x, gate, max_iter, carried=None):
         restart = n == 0
         if carried is None and gate.residual is not r:  # a confirmation replaced r
             r, restart = gate.residual, True
-        rs_new = float(r @ r)
-        if rs_new == 0.0:
+        if not r.any():
             # CGLS can reach A^T s = 0 exactly with s above eps; the next p is 0
             status = SolveStatus.BREAKDOWN
             diagnostic = f"iteration {n}: r = 0, so a step would leave x unchanged, and so would every later one"
             break
-        p = r if restart else r + (rs_new / rs) * p
-        rs = rs_new
-        Ap = apply_op(p)
-        applies += 1
-        pAp = float(p @ Ap)
-        if not (math.isfinite(rs) and math.isfinite(pAp)):
+        rs_new = float(r @ r)
+        pAp = math.nan  # stays nan where no product by p is made
+        if 0.0 < rs_new < math.inf:
+            p = r if restart else r + (rs_new / rs) * p
+            rs = rs_new
+            Ap = apply_op(p)
+            applies += 1
+            pAp = float(p @ Ap)
+        if not math.isfinite(pAp):
+            # r is not 0, so an r^T r of 0 is a square that underflowed
             status = SolveStatus.BREAKDOWN
-            diagnostic = f"r^T r = {rs:.3e}, p^T A p = {pAp:.3e} at iteration {n}: the recurrence overflowed"
+            diagnostic = (
+                f"r^T r = {rs_new:.3e}, ||r|| = {_norm(r):.3e}, p^T A p = {pAp:.3e} at iteration {n}: "
+                "the recurrence left the floating-point range"
+            )
             break
         if pAp <= 0.0:
             raise IndefiniteBreakdown(
@@ -218,7 +189,7 @@ def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> So
     confirms it with one counted product before the run may converge.
     """
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=True)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros, symmetric=True)
     gate, products = _start(A, b, x, eps)
     x, status, applies, diagnostic = _cg_core(lambda v: spmv(A, v), gate.residual, x, gate, cfg.max_iter)
     return _report(status, x, gate, started, products + applies, diagnostic)
@@ -234,7 +205,7 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
     start's products, the two of each CG step and each confirmation.
     """
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg, square=False)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros, square=False)
     gate, products = _start(A, b, x, eps)
     Ap = None  # A p of the latest step
 
@@ -345,7 +316,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> S
     is not (GMRES(1) on a rotation).
     """
     started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg, symmetric=symmetric)
+    b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros, symmetric=symmetric)
     if k < 1:
         raise DimensionMismatch("restart length k must be >= 1")
     gate, products = _start(A, b, x, eps)
@@ -461,9 +432,8 @@ def dominance_class(A: SparseMatrix) -> DominanceClass:
     """
     if A.nrows != A.ncols:
         raise NotSquare(f"dominance_class requires a square matrix, got {A.nrows}x{A.ncols}")
-    rows, cols, vals = A.triplets()
-    off = rows != cols
-    off_row_sums = np.bincount(rows[off], weights=np.abs(vals[off]), minlength=A.nrows)
+    off = A.row_idx != A.entry_col
+    off_row_sums = np.bincount(A.row_idx[off], weights=np.abs(A.values[off]), minlength=A.nrows)
     diag = np.abs(A.diagonal())
     weak = bool(np.all(diag >= off_row_sums))
     strict_rows = diag > off_row_sums

@@ -51,9 +51,7 @@ def embed(A: SparseMatrix, b) -> EmbeddedSystem:
     Only columns that actually contain a negative entry get a slack column;
     a nonnegative A comes back untouched (P is A, c is b, J = 0).
     """
-    b = as_vector(b, "b")
-    if b.shape != (A.nrows,):
-        raise DimensionMismatch(f"b has length {b.size}, expected {A.nrows}")
+    b = as_vector(b, "b", A.nrows)
     m1, m2 = A.nrows, A.ncols
     # read in place: every array built from them below is a fresh copy
     rows, cols, vals = A.row_idx, A.entry_col, A.values
@@ -119,16 +117,13 @@ def general_solve(
     original residual up to rounding, and convergence is confirmed, like
     nna_solve's, by recomputing the residual of the returned x.
     """
-    b = as_vector(b, "b")
     emb = embed(A, b)
     if emb.J == 0:
         return nna_solve(A, b, x0=x0, cfg=cfg)
     if x0 is None:
         y0 = np.ones(emb.m2 + emb.J)
     else:
-        x0 = as_vector(x0, "x0")
-        if x0.shape != (emb.m2,):
-            raise DimensionMismatch(f"x0 has length {x0.size}, expected {emb.m2}")
+        x0 = as_vector(x0, "x0", emb.m2)
         y0 = np.concatenate([x0, -x0[emb.neg_cols]])
     report = _solve(emb.P, emb.c, y0, cfg, emb.tie)
     return replace(report, x=extract(report.x, emb))

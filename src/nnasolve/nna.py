@@ -30,13 +30,15 @@ from .errors import (
     NegativeInput,
     NonFiniteValue,
     NonPositiveRhs,
+    NotSquare,
+    NotSymmetric,
     SingularMatrix,
     TooLargeForDense,
     UnshiftableRow,
     ZeroColumn,
     ZeroDenominator,
 )
-from .sparse import SparseMatrix, as_vector, spmv, spmv_transpose
+from .sparse import SparseMatrix, as_vector, is_symmetric, spmv, spmv_transpose
 
 __all__ = [
     "NonnegativeSystem",
@@ -194,6 +196,22 @@ def default_tolerance(b) -> float:
     return 1e-8 * (1.0 + _norm(np.asarray(b, dtype=np.float64)))
 
 
+def _setup(A: SparseMatrix, b, x0, cfg, start, square=True, symmetric=False):
+    """The checks and defaults every solver starts with: the shape of A, then
+    b and x0 (shape before values), then symmetry if asked.  Returns
+    (b, x, cfg, eps) with x = start(A.ncols) when x0 is None; x0 itself is
+    not copied."""
+    if square and A.nrows != A.ncols:
+        raise NotSquare(f"solver requires a square matrix, got {A.nrows}x{A.ncols}")
+    b = as_vector(b, "b", A.nrows)
+    x = start(A.ncols) if x0 is None else as_vector(x0, "x0", A.ncols)
+    if symmetric and not is_symmetric(A):
+        raise NotSymmetric("solver requires a symmetric matrix")
+    cfg = cfg if cfg is not None else SolverConfig()
+    eps = cfg.eps_tol if cfg.eps_tol is not None else default_tolerance(b)
+    return b, x, cfg, eps
+
+
 class _ResidualGate:
     """The stopping rule of every solver, and the residual trace it reads.
 
@@ -265,9 +283,7 @@ def _require_nonnegative(A: SparseMatrix):
 
 def rescale(A: SparseMatrix, b) -> NonnegativeSystem:
     """Rescale a nonnegative system to column-stochastic form with b on the simplex."""
-    b = as_vector(b, "b")
-    if b.shape != (A.nrows,):
-        raise DimensionMismatch(f"b has length {b.size}, expected {A.nrows}")
+    b = as_vector(b, "b", A.nrows)
     _require_nonnegative(A)
     s = A.col_sums
     zero = np.flatnonzero(s == 0.0)
@@ -296,9 +312,7 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
     that doubling cannot end (a zero t, when a row sum overflows, or a t
     that would pass the largest float) it raises NonFiniteValue.
     """
-    b = as_vector(b, "b")
-    if b.shape != (A.nrows,):
-        raise DimensionMismatch(f"b has length {b.size}, expected {A.nrows}")
+    b = as_vector(b, "b", A.nrows)
     _require_nonnegative(A)
     row_sums = spmv(A, np.ones(A.ncols))
     if t is None:
@@ -546,30 +560,24 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     automatic shift is positive and the run stagnates, the shift is doubled
     and the solve retried a bounded number of times, keeping the best
     attempt; its matvec_count sums the products of every attempt.  Explicit
-    t runs, and unshifted runs (b > 0 and x0 > 0), are never retried.  Setup
-    defects (zero column, unshiftable row, zero row with positive b, an
-    automatic shift that cannot stay finite) and values that overflow during
-    the run come back as a BREAKDOWN report carrying a diagnostic instead of
-    an exception.
+    t runs, and unshifted runs (b > 0 and x0 > 0), are never retried.  The
+    shapes and values of A, b and x0 are checked first, and their defects
+    raise.  Setup defects found after that (zero column, unshiftable row,
+    zero row with positive b, an automatic shift that cannot stay finite)
+    and values that overflow during the run come back as a BREAKDOWN report
+    carrying a diagnostic instead of an exception.
     """
     return _solve(A, b, x0, cfg, None)
 
 
 def _solve(A, b, x0, cfg, tie) -> SolveReport:
     """nna_solve on A, with residuals mapped through the tie block when it is not None."""
-    cfg = cfg if cfg is not None else SolverConfig()
     started = time.perf_counter_ns()
-    b_arr = as_vector(b, "b")
-    eps = cfg.eps_tol if cfg.eps_tol is not None else default_tolerance(b_arr)
-    _require_nonnegative(A)
-
+    b_arr, x_start, cfg, eps = _setup(A, b, x0, cfg, np.ones, square=False)
     try:
         shifted = shift(A, b_arr, cfg.t_shift)
     except (NonFiniteValue, ZeroColumn, UnshiftableRow) as exc:
         return _breakdown(exc, A.ncols, started)
-    x_start = np.ones(A.ncols) if x0 is None else as_vector(x0, "x0")
-    if x_start.shape != (A.ncols,):
-        raise DimensionMismatch(f"x0 has length {x_start.size}, expected {A.ncols}")
     auto = cfg.t_shift is None
     low = float(x_start.min(initial=math.inf))
     if low + shifted.t <= 0.0:
@@ -620,9 +628,7 @@ def rate_certificate(A: SparseMatrix, x_star) -> RateCertificate:
     if A.nrows > _CERTIFICATE_DENSE_LIMIT:
         raise TooLargeForDense(f"m={A.nrows} exceeds the dense limit {_CERTIFICATE_DENSE_LIMIT}")
     _require_nonnegative(A)
-    x_star = as_vector(x_star, "x_star")
-    if x_star.shape != (A.ncols,):
-        raise DimensionMismatch("x_star length does not match the matrix")
+    x_star = as_vector(x_star, "x_star", A.ncols)
     s = A.col_sums
     zero = np.flatnonzero(s == 0.0)
     if zero.size:

@@ -24,18 +24,23 @@ __all__ = [
     "as_vector",
     "from_arrays",
     "from_triplets",
+    "is_symmetric",
     "spmv",
     "spmv_transpose",
 ]
 
 _DENSE_LIMIT = 4_000_000  # elements; guards accidental densification
+_SYMMETRY_RTOL = 1e-12  # is_symmetric: |a_ij - a_ji| <= this * max(|a_ij|, |a_ji|)
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting NaN and infinity."""
+def as_vector(values, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Coerce to a 1-D float64 array (no copy of one already), of length size
+    if given, rejecting NaN and infinity; the shape is checked first."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
+    if size is not None and v.size != size:
+        raise DimensionMismatch(f"{name} has length {v.size}, expected {size}")
     if not np.all(np.isfinite(v)):
         raise NonFiniteValue(f"{name} contains NaN or infinite entries")
     return v
@@ -138,6 +143,17 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+def is_symmetric(A: SparseMatrix) -> bool:
+    """Structural and value symmetry within the relative tolerance _SYMMETRY_RTOL."""
+    if A.nrows != A.ncols:
+        return False
+    T = A.transpose()
+    if not (np.array_equal(A.col_ptr, T.col_ptr) and np.array_equal(A.row_idx, T.row_idx)):
+        return False
+    scale = np.maximum(np.abs(A.values), np.abs(T.values))
+    return bool(np.all(np.abs(A.values - T.values) <= _SYMMETRY_RTOL * scale))
 
 
 def from_arrays(nrows, ncols, rows, cols, values) -> SparseMatrix:

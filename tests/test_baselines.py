@@ -37,7 +37,7 @@ from nnasolve import (
     spmv,
 )
 from nnasolve.baselines import _cg_core
-from nnasolve.nna import _ResidualGate
+from nnasolve.nna import _norm, _ResidualGate
 from conftest import dominant_mixed, identity, sparse_of, spd_dominant
 
 
@@ -315,7 +315,8 @@ def test_huge_entries_with_representable_products_converge(solve):
         (lambda A, b, cfg: gmres_restarted(A, b, k=2, cfg=cfg), SolveStatus.CONVERGED, 1),
         (lambda A, b, cfg: minres_solve(A, b, k=2, cfg=cfg), SolveStatus.CONVERGED, 1),
         (nna_solve, SolveStatus.CONVERGED, 1),
-        # r^T r = 2e600 overflows in the CG recurrence itself
+        # r^T r = 2e600 overflows in the CG recurrence itself, which ends
+        # before any product by p: none for CG, A^T b for CGLS
         (cg_solve, SolveStatus.BREAKDOWN, 0),
         (normal_equation_solve, SolveStatus.BREAKDOWN, 0),
     ],
@@ -335,7 +336,9 @@ def test_residual_norms_do_not_overflow(solve, status, iterations):
         assert report.residual_trace[-1] <= default_tolerance(b)
         np.testing.assert_allclose(report.x, [1e300, 5e299], rtol=1e-8)
     else:
-        assert report.diagnostic.startswith("r^T r = inf, p^T A p = inf at iteration 0")
+        assert report.diagnostic.startswith("r^T r = inf, ||r|| = ")
+        assert "p^T A p = nan at iteration 0" in report.diagnostic
+        assert report.matvec_count == (solve is normal_equation_solve)
 
 
 def test_arnoldi_orthonormal_basis():
@@ -582,7 +585,10 @@ def test_every_solver_ends_on_the_recomputed_residual(solver, data):
     elif report.status is SolveStatus.MAX_ITERATIONS:
         assert report.iterations == cfg.max_iter
     elif report.status is SolveStatus.BREAKDOWN:
-        assert solver in ("gmres", "minres", "normal-cg") and "x unchanged" in report.diagnostic
+        # a restart that cannot move x, or a CG residual that is 0 or whose
+        # square underflows
+        assert solver in ("gmres", "minres", "cg", "normal-cg")
+        assert "x unchanged" in report.diagnostic or report.diagnostic.startswith("r^T r = 0.000e+00")
     else:
         assert report.status is SolveStatus.STAGNATED_MIN_KL and solver in ("nna", "general")
     # uncounted: shift's row sums A 1, and general_solve's tie block, the only
@@ -703,17 +709,40 @@ def test_normal_cg_counts_every_product(monkeypatch):
 
 
 def test_normal_cg_stops_where_its_recurrence_residual_is_zero():
-    # A^T s rounds to exactly 0 at iteration 22 while ||s|| = 5.6e-17 is above
-    # eps, so the next direction is 0; the run used to multiply by it and raise
-    # IndefiniteBreakdown on a positive definite A^T A
+    # at iteration 22, A^T s is not 0 (max |.| = 9.6e-166) but its square
+    # underflows to 0 while ||s|| = 5.6e-17 is above eps; the run ends there,
+    # before a product by the next direction (it once raised
+    # IndefiniteBreakdown on a positive definite A^T A)
     A = sparse_of([[1.77369681, -0.46042657], [-0.91805295, 2.33080853]])
     b = np.array([0.21327155, 0.45899312])
     report = normal_equation_solve(A, b, cfg=SolverConfig(eps_tol=5.06e-17, max_iter=100))
     assert report.status is SolveStatus.BREAKDOWN and report.iterations == 22
-    assert report.diagnostic.startswith("iteration 22: r = 0, so a step would leave x unchanged")
+    assert report.diagnostic.startswith("r^T r = 0.000e+00, ||r|| = 1.200e-165, p^T A p = nan at iteration 22")
     # A^T b, two products a step and one confirmation, none by the zero direction
     assert report.matvec_count == 1 + 2 * 22 + 1
     assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) > 5.06e-17
+
+
+@pytest.mark.parametrize(
+    "scale, iterations, products",
+    [(1e-165, 0, (0, 1)), (1e-150, 2, (3, 6))],
+    ids=["1e-165", "1e-150"],
+)
+@pytest.mark.parametrize("solve", [cg_solve, normal_equation_solve], ids=["cg", "normal-cg"])
+def test_cg_residual_whose_square_underflows_is_not_zero(solve, scale, iterations, products):
+    # r is tiny but not 0: the run ends where r^T r underflows, with no product
+    # by the next direction and no claim that r = 0
+    b = np.array([scale, scale])
+    report = solve(_DIAG, b, cfg=SolverConfig(eps_tol=1e-300, max_iter=50))
+    assert report.status is SolveStatus.BREAKDOWN and report.iterations == iterations
+    assert report.matvec_count == products[solve is normal_equation_solve]
+    assert report.diagnostic.startswith("r^T r = 0.000e+00, ||r|| = ")
+    assert f"at iteration {iterations}: " in report.diagnostic and "r = 0," not in report.diagnostic
+    # np.linalg.norm would underflow here
+    assert report.residual_trace[-1] == _norm(b - spmv(_DIAG, report.x)) > 0.0
+    # every other solver converges on the same systems
+    for other in (jacobi_solve, gauss_seidel_solve, gmres_restarted, minres_solve, nna_solve, general_solve):
+        assert other(_DIAG, b, cfg=SolverConfig(eps_tol=1e-300, max_iter=50)).status is SolveStatus.CONVERGED
 
 
 _START_PRODUCTS = {

@@ -210,6 +210,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run(["check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("dense-uniform:m", "generator option 'm' is not key=value"),
+        ("sparse-random:m=10", "generator spec 'sparse-random:m=10' is missing the offdiag= option"),
+        ("banded:m=10", "unknown generator 'banded' (use dense-uniform or sparse-random)"),
+        ("dense-uniform:m=4,width=2", "unknown generator options: width"),
+    ],
+    ids=["not-key-value", "missing-option", "unknown-generator", "unknown-option"],
+)
+def test_generator_spec_errors_are_input_errors(tmp_path, capsys, spec, message):
+    assert run(["solve", "--gen", spec, "--solver", "nna", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_matrix_and_gen_together_is_usage_error(tmp_path, capsys):
+    mtx = tmp_path / "m.mtx"
+    write_matrix_market(from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)]), mtx)
+    argv = ["solve", "--matrix", str(mtx), "--gen", "dense-uniform:m=2", "--rhs", "ones", "--solver", "nna"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: exactly one of --matrix or --gen is required\n"
+
+
 def test_loose_tolerance_flag(tmp_path):
     code = run(
         [

@@ -175,6 +175,29 @@ def test_read_parse_errors_carry_line_numbers(tmp_path):
         read_matrix_market(path)
 
 
+_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("%%MatrixMarket matrix coordinate real\n1 1 0\n", 1, "header has 4 tokens, expected 5"),
+        (_HEADER + "% only a comment\n\n", 3, "missing size line"),
+        (_HEADER + "2 2\n", 2, "size line needs 'rows cols nnz', got '2 2'"),
+        (_HEADER + "% c\n2 two 1\n", 3, "non-integer size entry in '2 two 1'"),
+        (_HEADER + "2 -2 1\n", 2, "negative size entry in '2 -2 1'"),
+    ],
+    ids=["header-tokens", "no-size-line", "short-size-line", "non-integer-size", "negative-size"],
+)
+def test_read_header_and_size_line_errors(tmp_path, text, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_matrix_market(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_read_index_out_of_range(tmp_path):
     path = tmp_path / "oob.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
@@ -464,6 +487,22 @@ def test_trace_row_count_and_header(tmp_path):
     assert lines[0] == "iter,residual_l2,kl_b,elapsed_ns"
     assert len([ln for ln in lines if ln]) == 3  # header + 2 data rows
     assert "\r" not in text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("iter,residual_l2,kl_b\n0,1.0,\n", "line 1: unexpected trace header 'iter,residual_l2,kl_b'"),
+        ("iter,residual_l2,kl_b,elapsed_ns\n0,1.0,,5\n1,0.5,5\n", "line 3: expected 4 columns, got 3"),
+    ],
+    ids=["header", "columns"],
+)
+def test_read_trace_errors(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert str(err.value) == message
 
 
 def test_trace_round_trip_exact(tmp_path):
