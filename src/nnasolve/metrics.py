@@ -37,7 +37,13 @@ def kl_divergence(u, v) -> float:
     vm = v[mask]
     if np.any(vm == 0.0):
         return math.inf
-    return float(np.sum(um * np.log(um / vm)))
+    with np.errstate(over="ignore", divide="ignore"):
+        kl = float(np.sum(um * np.log(um / vm)))
+    if math.isfinite(kl):
+        return kl
+    # u_i / v_i overflowed (v_i subnormal) or underflowed to 0, yet the logs
+    # of the positive finite u_i and v_i are finite, and so is their difference
+    return float(np.sum(um * (np.log(um) - np.log(vm))))
 
 
 def l2_bridge(x_star, kl: float) -> float:

@@ -32,6 +32,14 @@ def test_kl_closed_form_and_infinity():
     assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
 
 
+def test_kl_finite_where_the_ratio_leaves_the_float_range():
+    # 0.5 / 5e-323 overflows and 5e-323 / 1e300 underflows to 0, yet each
+    # term u_i (log u_i - log v_i) is finite
+    expected = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(5e-323))
+    assert kl_divergence([0.5, 0.5], [1.0, 5e-323]) == pytest.approx(expected, rel=1e-12)
+    assert kl_divergence([5e-323, 1.0], [1e300, 1.0]) == pytest.approx(0.0, abs=1e-300)
+
+
 def test_kl_input_validation():
     with pytest.raises(NegativeInput):
         kl_divergence([-0.1, 1.1], [0.5, 0.5])
