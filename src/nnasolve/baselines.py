@@ -159,7 +159,10 @@ def _cg_core(apply_op, r, x, gate, max_iter, carried=None):
             Ap = apply_op(p)
             applies += 1
             pAp = float(p @ Ap)
-        if not math.isfinite(pAp):
+        # a p^T A p of 0 from nonzero p and A p is an underflow where the
+        # product at unit scale is positive; otherwise A is not definite
+        underflowed = pAp == 0.0 and Ap.any() and (p / np.abs(p).max()) @ (Ap / np.abs(Ap).max()) > 0.0
+        if not math.isfinite(pAp) or underflowed:
             # r is not 0, so an r^T r of 0 is a square that underflowed
             status = SolveStatus.BREAKDOWN
             diagnostic = (

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .nna import SolveReport, SolverConfig, _solve, nna_solve
+from .nna import SolveReport, SolverConfig, _run_accelerated, _solve
+from .nna import nna_solve  # noqa: F401  unused here, but perfbench/tracer.py patches this name
 from .sparse import SparseMatrix, _from_canonical, as_vector
 from .sparse import from_arrays, spmv  # noqa: F401  unused here, but perfbench/tracer.py patches these names
 
@@ -106,7 +107,19 @@ def general_solve(
     x0=None,
     cfg: SolverConfig | None = None,
 ) -> SolveReport:
-    """Solve A x = b for arbitrary-sign A: embed, run the nonnegative solver, extract.
+    """Solve A x = b for arbitrary-sign A: embed, run the accelerated solver, extract.
+
+    A nonnegative A is its own embedding (J = 0); any other gets one slack
+    column per column with a negative entry.  The embedded system is solved
+    by nna_solve's shift, rescale and auto-shift retries, but through the
+    Anderson-accelerated loop (nna._run_accelerated) in place of the
+    paper's plain update: each iteration mixes the last 10 steps, and a
+    safeguard takes the plain step wherever the mixed point is not positive
+    or raises the divergence above the largest of the last 5 iterates'.
+    An iteration costs two products with P, plus one for each mixed point
+    the divergence test rejects (counted, with mixed points that are not
+    positive, in the report's rejections); stagnated_min_kl is certified
+    as in nna_solve, but at every iterate.
 
     With x0 given, the embedded start is (x0, -x0 restricted to the tied
     columns), which the automatic shift clears (see nna_solve); the default
@@ -118,12 +131,10 @@ def general_solve(
     nna_solve's, by recomputing the residual of the returned x.
     """
     emb = embed(A, b)
-    if emb.J == 0:
-        return nna_solve(A, b, x0=x0, cfg=cfg)
     if x0 is None:
         y0 = np.ones(emb.m2 + emb.J)
     else:
         x0 = as_vector(x0, "x0", emb.m2)
         y0 = np.concatenate([x0, -x0[emb.neg_cols]])
-    report = _solve(emb.P, emb.c, y0, cfg, emb.tie)
+    report = _solve(emb.P, emb.c, y0, cfg, emb.tie, _run_accelerated)
     return replace(report, x=extract(report.x, emb))

@@ -65,6 +65,15 @@ _CERTIFICATE_TOL = 1e-4
 _BLOCK_ENTRIES = 4096
 # rate_certificate inverts the rescaled matrix densely, so only up to this size
 _CERTIFICATE_DENSE_LIMIT = 200
+# the accelerated loop mixes the last _AA_WINDOW differences of iterates, and
+# accepts a mixed point whose divergence is at most the largest of the last
+# _GLL_MEMORY accepted ones
+_AA_WINDOW = 10
+_GLL_MEMORY = 5
+# the mixing solve drops directions below this share of the scaled Gram
+# matrix's largest eigenvalue: three orders above the relative rounding of a
+# Gram entry at n = 1e5 (n * 2^-52 ~ 2e-11)
+_MIXING_RCOND = 1e-8
 
 
 class SolveStatus(enum.Enum):
@@ -81,7 +90,8 @@ class SolverConfig:
     eps_tol None means the hybrid default 1e-8 * (1 + ||b||_2).  t_shift None
     selects the automatic positivity shift; any float >= 0 is used verbatim.
     stagnated_min_kl rests on a duality gap certificate checked every 50
-    iterations (see nna_solve); it has no knob here.
+    iterations by nna_solve and every iteration by general_solve; it has no
+    knob here.
     """
 
     eps_tol: float | None = None
@@ -123,7 +133,9 @@ class SolveReport:
     tracked and recomputed residual to the original system.  t_shift is the
     positivity shift of the kept attempt and
     attempts the number of shifts tried (1 + auto-shift retries); solvers
-    that do not shift leave them None and 0.
+    that do not shift leave them None and 0.  rejections counts the mixed
+    points general_solve's safeguard replaced by the plain step in the kept
+    attempt; every other solver leaves it 0.
     """
 
     status: SolveStatus
@@ -136,6 +148,7 @@ class SolveReport:
     diagnostic: str | None = None
     t_shift: float | None = None
     attempts: int = 0
+    rejections: int = 0
 
 
 @dataclass
@@ -419,6 +432,27 @@ def _breakdown(exc: Exception, ncols: int, started: int) -> SolveReport:
     )
 
 
+def _start_loop(A, b, shifted, x_start, eps, tie):
+    """What both solve loops start from: the rescaled system, iterate 0, the
+    map original(r) of a residual of A to one of the original system (r[:m1]
+    - tie r[m1:] for an embedded system, r itself when tie is None), and the
+    _ResidualGate whose recompute is the residual of the returned x."""
+    system = rescale(A, shifted.b_shifted)
+    # iterate 0 is the shifted start exactly as given (_solve keeps it
+    # positive); the first update lands on the probability simplex
+    xt = (x_start + shifted.t) * system.col_scale / system.b_total
+
+    def original(r):
+        return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
+
+    gate = _ResidualGate(eps, lambda x_tilde: original(spmv(A, system.recover(x_tilde) - shifted.t) - b))
+    return system, xt, original, gate
+
+
+def _certificate_diagnostic(n: int, kl: float, gap: float) -> str:
+    return f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
+
+
 # a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
@@ -460,17 +494,8 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     rule cannot fire, and the 2^-52 floor keeps a rounded fixed point out.
     """
     t = shifted.t
-    system = rescale(A, shifted.b_shifted)
+    system, xt, original, gate = _start_loop(A, b, shifted, x_start, eps, tie)
     q = system.b_tilde
-    # iterate 0 is the shifted start exactly as given (_solve keeps it
-    # positive); the first update lands on the probability simplex and every
-    # later iterate stays there
-    xt = (x_start + t) * system.col_scale / system.b_total
-
-    def original(r):
-        return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
-
-    gate = _ResidualGate(eps, lambda x_tilde: original(spmv(A, system.recover(x_tilde) - t) - b))
     max_iter = cfg.max_iter
     cap = max(1, _BLOCK_ENTRIES // max(1, q.size))
     block = np.empty((min(cap, _CERTIFICATE_STRIDE, max_iter + 1), q.size))
@@ -530,9 +555,7 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
         made += 1
         n += 1
 
-    diagnostic = None
-    if status is SolveStatus.STAGNATED_MIN_KL:
-        diagnostic = f"certificate at iterate {n - 1}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
+    diagnostic = _certificate_diagnostic(n - 1, kl, gap) if status is SolveStatus.STAGNATED_MIN_KL else None
     return SolveReport(
         status=status,
         iterations=n,
@@ -543,6 +566,147 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
         matvec_count=made + gate.recomputes,
         diagnostic=diagnostic,
         t_shift=t,
+    )
+
+
+def _divergence(q: np.ndarray, b_n: np.ndarray) -> float:
+    """D(q, b_n) = sum q (delta - log1p delta) with delta = b_n / q - 1, which is
+    sum q log(q / b_n) where b_n sums to 1: every term is nonnegative, and
+    near a solution the terms keep their digits."""
+    delta = b_n / q - 1.0
+    return float(q @ (delta - np.log1p(delta)))
+
+
+def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gamma minimizing ||f - dF^T gamma|| from gram = dF dF^T and rhs = dF f.
+
+    The columns are scaled to unit norm first, and directions whose scaled
+    eigenvalue falls below _MIXING_RCOND of the largest are dropped, as a
+    least-squares solve on dF itself drops its tiny singular values.
+    """
+    scale = np.sqrt(np.diagonal(gram))
+    scale[scale == 0.0] = 1.0
+    y = np.linalg.lstsq(gram / np.outer(scale, scale), rhs / scale, rcond=_MIXING_RCOND)[0]
+    return y / scale
+
+
+# a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _run_accelerated(A, b, shifted, x_start, cfg, eps, tie):
+    """Anderson-accelerated iteration from a fixed shift (general_solve's loop).
+
+    Takes _run_iteration's arguments and returns the same report, with the
+    same tracked residual, _ResidualGate and recompute.  Each iterate x_n
+    (on the simplex from iterate 1 on) forms g = a_tilde^T (q / M x_n), the
+    plain step G(x_n) = x_n * g and its residual f_n = G(x_n) - x_n.
+    Anderson mixing (Walker & Ni 2011, SIAM J. Numer. Anal. 49:1715; for EM,
+    Henderson & Varadhan 2019, J. Comput. Graph. Stat. 28:834) over the
+    last _AA_WINDOW differences dG of plain steps and dF of residuals
+    (dG = dx + dF, dx the differences of iterates) proposes
+
+        x = G(x_n) - dG^T gamma,   gamma = argmin ||f_n - dF^T gamma||,
+
+    scaled back onto the simplex.  The safeguard (Grippo, Lampariello &
+    Lucidi 1986, SIAM J. Numer. Anal. 23:707) takes it as x_(n+1) when it
+    is positive and its divergence is at most the largest of the last
+    _GLL_MEMORY accepted ones; otherwise x_(n+1) is the plain step, the
+    history is cleared, and rejections counts one.  The plain step needs no
+    test: G never raises the divergence.  The differences live in two
+    preallocated ring buffers, and the Gram matrix dF dF^T gains one row
+    and column an iteration, so mixing costs O(m w) and allocates no m x w
+    array.
+
+    Products: M x_0, then per iteration a_tilde^T (q / M x_n) and the M x of
+    the next iterate, which for an accepted mixed point is the product its
+    divergence test made.  A mixed point that test rejects costs one
+    product more; one with an entry <= 0 is rejected before any product.
+    matvec_count adds the gate's recomputations.
+
+    The certificate is _run_iteration's, read at the iterate it tests from
+    the g every iteration forms: gap = max g - 1 >= D(x_n) - D*, and the
+    run stops as stagnated_min_kl once gap <= _CERTIFICATE_TOL * D(x_n).
+    kl_trace holds D at every iterate, iterate 0 scaled onto the simplex.
+    """
+    t = shifted.t
+    system, xt, original, gate = _start_loop(A, b, shifted, x_start, eps, tie)
+    q, a_tilde, b_total = system.b_tilde, system.a_tilde, system.b_total
+    kl_trace = array("d")
+    # ring buffers: row i holds a finished pair (dG, dF) for i < min(stored,
+    # window) other than row stored % window, which holds (-G, -f) of the
+    # last iterate until the next one finishes it
+    dg = np.empty((_AA_WINDOW, xt.size))
+    df = np.empty((_AA_WINDOW, xt.size))
+    gram = np.empty((_AA_WINDOW, _AA_WINDOW))  # dF dF^T over the finished rows
+    stored = 0  # pairs finished since the history was last cleared
+    b_n = spmv(a_tilde, xt)
+    made = 1  # products with a_tilde
+    kl = None  # the divergence of the iterate, where its test computed it
+    rejections = n = 0
+    while True:
+        gate.values.append(b_total * _norm(original(b_n - q)))
+        gate.carried = True
+        if kl is None:
+            kl = _divergence(q, b_n if n else b_n / b_n.sum())
+            if not math.isfinite(kl):
+                # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes
+                # the divergence non-finite; the typed checks name the defect
+                _ratio(q, b_n)
+                kl = metrics.kl_divergence(q, b_n)
+        kl_trace.append(kl)
+        status = gate.status(xt, n, cfg.max_iter)
+        if status is not None:
+            break
+        plain = spmv_transpose(a_tilde, q / b_n)
+        made += 1
+        # iterate 0 is off the simplex, where g . x = 1 fails
+        gap = max(float(plain.max()) - 1.0, 2.0**-52)
+        if n and gap <= _CERTIFICATE_TOL * kl:
+            status = gate.status(xt, n, cfg.max_iter, SolveStatus.STAGNATED_MIN_KL)
+            break
+        plain *= xt
+        # G(c x) = G(x), so iterate 0 enters the history scaled onto the simplex
+        f = plain - (xt if n else xt / xt.sum())
+        xt = plain
+        b_n = kl = None
+        slot = stored % _AA_WINDOW
+        if n:
+            dg[slot] += plain
+            df[slot] += f
+            stored += 1
+            w = min(stored, _AA_WINDOW)
+            gram[slot, :w] = gram[:w, slot] = df[:w] @ df[slot]
+            mixed = _mixing_weights(gram[:w, :w], df[:w] @ f) @ dg[:w]
+            np.subtract(plain, mixed, out=mixed)
+            if mixed.min() > 0.0:
+                mixed /= mixed.sum()
+                b_mixed = spmv(a_tilde, mixed)
+                made += 1
+                kl_mixed = _divergence(q, b_mixed)
+                if kl_mixed <= max(kl_trace[-_GLL_MEMORY:]):
+                    xt, b_n, kl = mixed, b_mixed, kl_mixed
+            if b_n is None:
+                rejections += 1
+                stored = 0
+            slot = stored % _AA_WINDOW
+        np.negative(plain, out=dg[slot])
+        np.negative(f, out=df[slot])
+        n += 1
+        if b_n is None:
+            b_n = spmv(a_tilde, xt)
+            made += 1
+
+    diagnostic = _certificate_diagnostic(n, kl, gap) if status is SolveStatus.STAGNATED_MIN_KL else None
+    return SolveReport(
+        status=status,
+        iterations=n,
+        x=system.recover(xt) - t,
+        residual_trace=np.frombuffer(gate.values),
+        kl_trace=np.frombuffer(kl_trace),
+        elapsed_ns=0,
+        matvec_count=made + gate.recomputes,
+        diagnostic=diagnostic,
+        t_shift=t,
+        rejections=rejections,
     )
 
 
@@ -570,8 +734,9 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     return _solve(A, b, x0, cfg, None)
 
 
-def _solve(A, b, x0, cfg, tie) -> SolveReport:
-    """nna_solve on A, with residuals mapped through the tie block when it is not None."""
+def _solve(A, b, x0, cfg, tie, loop=_run_iteration) -> SolveReport:
+    """nna_solve on A through loop (_run_iteration or _run_accelerated), with
+    residuals mapped through the tie block when it is not None."""
     started = time.perf_counter_ns()
     b_arr, x_start, cfg, eps = _setup(A, b, x0, cfg, np.ones, square=False)
     try:
@@ -594,7 +759,7 @@ def _solve(A, b, x0, cfg, tie) -> SolveReport:
     attempt = 0
     while True:
         try:
-            report = _run_iteration(A, b_arr, shifted, x_start, cfg, eps, tie)
+            report = loop(A, b_arr, shifted, x_start, cfg, eps, tie)
         except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
             return _breakdown(exc, A.ncols, started)
         matvecs += report.matvec_count

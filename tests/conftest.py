@@ -45,6 +45,18 @@ def spd_dominant(rng, m):
     return dense
 
 
+def minimal_kl_oracle(dense, b):
+    """min D(b_tilde, a_tilde x) over the simplex of a 3 x 2 system, on a grid of
+    resolution 1e-4 (c04's oracle)."""
+    b_tilde = b / b.sum()
+    a_tilde = dense / dense.sum(axis=0, keepdims=True)
+    s = np.linspace(0.0, 1.0, 10_001)
+    candidates = a_tilde @ np.stack([s, 1.0 - s])
+    with np.errstate(divide="ignore"):
+        logs = np.log(b_tilde[:, None]) - np.log(candidates)
+    return float(np.sum(b_tilde[:, None] * logs, axis=0).min())
+
+
 def em_rate_budget(A, b, x_star, t, eps):
     """Iteration budget the geometric-rate guarantee gives for one instance.
 

@@ -42,7 +42,7 @@ from nnasolve import (
     shift,
     spmv,
 )
-from conftest import dominant_mixed, em_rate_budget, sparse_of, spd_dominant
+from conftest import dominant_mixed, em_rate_budget, minimal_kl_oracle, sparse_of, spd_dominant
 
 KL_NOISE_FLOOR = 1e-12  # below this, computed divergences are round-off
 RATE_TAIL = 1_000  # c06: iterations over which the final contraction rate is measured
@@ -159,14 +159,7 @@ def test_c04_minimal_kl_limit():
         A = sparse_of(dense)
         report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-12, t_shift=0.0, max_iter=200_000))
         assert report.status is SolveStatus.STAGNATED_MIN_KL
-        b_tilde = b / b.sum()
-        a_tilde = dense / dense.sum(axis=0, keepdims=True)
-        s = np.linspace(0.0, 1.0, 10_001)  # resolution 1e-4 over the constraint simplex
-        candidates = a_tilde @ np.stack([s, 1.0 - s])
-        with np.errstate(divide="ignore"):
-            logs = np.log(b_tilde[:, None]) - np.log(candidates)
-        oracle = float(np.sum(b_tilde[:, None] * logs, axis=0).min())
-        gap = abs(float(report.kl_trace[-1]) - oracle)
+        gap = abs(float(report.kl_trace[-1]) - minimal_kl_oracle(dense, b))
         assert gap <= 1e-4, f"final divergence off oracle by {gap:.2e}"
         gaps.append(gap)
     elapsed = time.time() - started

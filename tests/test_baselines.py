@@ -132,6 +132,23 @@ def test_cg_indefinite_breakdown():
         cg_solve(sparse_of([[1.0, 0.0], [0.0, -1.0]]), [1.0, 1.0], cfg=CFG)
 
 
+def test_cg_p_a_p_that_underflows_is_not_indefinite():
+    # A = 1e-10 I is SPD, but p^T A p = 2e-326 underflows to 0 at the first
+    # step; that is the range breakdown, not IndefiniteBreakdown
+    A = from_triplets(2, 2, [(0, 0, 1e-10), (1, 1, 1e-10)])
+    report = cg_solve(A, [1e-158, 1e-158], cfg=SolverConfig(eps_tol=1e-300))
+    assert report.status is SolveStatus.BREAKDOWN and report.iterations == 0
+    assert report.diagnostic.startswith("r^T r = 2.000e-316, ||r|| = 1.414e-158, p^T A p = 0.000e+00 at iteration 0")
+    assert report.diagnostic.endswith("the recurrence left the floating-point range")
+    assert report.matvec_count == 1  # the product by p; none at the zero start
+
+
+def test_cg_p_a_p_of_exactly_zero_at_unit_scale_is_indefinite():
+    # p = (1, 0) and A p = (0, 1): p^T A p is 0 with no underflow
+    with pytest.raises(IndefiniteBreakdown, match="p\\^T A p = 0.000e\\+00 <= 0 at iteration 0"):
+        cg_solve(sparse_of([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], cfg=CFG)
+
+
 def test_cg_requires_symmetry():
     with pytest.raises(NotSymmetric):
         cg_solve(sparse_of([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0], cfg=CFG)

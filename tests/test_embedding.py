@@ -13,12 +13,14 @@ from nnasolve import (
     extract,
     from_arrays,
     from_triplets,
+    gen_sparse_random,
     general_solve,
+    gmres_restarted,
     nna_solve,
     shift,
     spmv,
 )
-from conftest import dominant_mixed, identity, sparse_of
+from conftest import dominant_mixed, identity, minimal_kl_oracle, sparse_of
 
 
 def test_embed_nonnegative_passthrough():
@@ -213,8 +215,9 @@ def test_general_solve_residual_trace_is_original_system():
     assert report.status is SolveStatus.CONVERGED
     assert report.residual_trace[-1] == pytest.approx(np.linalg.norm(dense @ report.x - b), abs=1e-9)
     assert report.residual_trace[-1] <= 1e-9
-    # one product with P per half-step plus the one confirmation of convergence
-    assert report.matvec_count == 2 * report.iterations + 2
+    # two products with P an iteration, one more per mixed point the
+    # safeguard rejects, and the one confirmation of convergence
+    assert report.matvec_count == 2 * report.iterations + 2 + report.rejections
     # entry k is ||A x_k - b|| for the x_k a run capped at k iterations returns,
     # up to the rounding of working at shift t: eps * t * sum|P|, about 2e-13 here
     emb = embed(A, b)
@@ -222,6 +225,41 @@ def test_general_solve_residual_trace_is_original_system():
     for k, tracked in enumerate(report.residual_trace):
         x_k = general_solve(A, b, cfg=SolverConfig(eps_tol=1e-9, max_iter=k)).x
         assert tracked == pytest.approx(np.linalg.norm(dense @ x_k - b), rel=1e-6, abs=floor), k
+
+
+# products general_solve makes on c07's seeds 0-9 (m = 1000, t = 0, target
+# 1e-6 ||b||); the plain update caps seeds 4, 5 and 7 at 20k iterations
+_C07_PRODUCTS = {0: 68, 1: 170, 2: 186, 3: 146, 4: 624, 5: 278, 6: 198, 7: 254, 8: 312, 9: 106}
+
+
+def test_general_solve_on_c07_takes_fewer_products_than_gmres():
+    products, gmres = {}, 0
+    for seed in range(10):
+        inst = gen_sparse_random(1000, 5000, 100.0, seed)
+        target = 1e-6 * float(np.linalg.norm(inst.b))
+        report = general_solve(inst.A, inst.b, cfg=SolverConfig(eps_tol=target, t_shift=0.0, max_iter=20_000))
+        assert report.status is SolveStatus.CONVERGED, seed
+        assert np.linalg.norm(spmv(inst.A, report.x) - inst.b) <= target
+        products[seed] = report.matvec_count
+        gmres += gmres_restarted(inst.A, inst.b, k=20, cfg=SolverConfig(eps_tol=target, max_iter=2_000)).matvec_count
+    total = sum(products.values())
+    print(f"c07 products: general_solve {total} {products}, GMRES(20) {gmres}")
+    assert products == _C07_PRODUCTS
+    assert total == 2342 < gmres == 2621
+
+
+def test_general_solve_reaches_c04_minimal_divergence():
+    # c04's 20 inconsistent 3 x 2 systems; their minimizers sit on the edge of
+    # the simplex, where most mixed points have an entry <= 0 and the
+    # safeguard takes the plain step
+    rng = np.random.default_rng(104)
+    for _ in range(20):
+        dense = rng.uniform(0.2, 1.0, (3, 2))
+        b = rng.uniform(0.5, 1.5, 3)
+        report = general_solve(sparse_of(dense), b, cfg=SolverConfig(eps_tol=1e-12, t_shift=0.0, max_iter=200_000))
+        assert report.status is SolveStatus.STAGNATED_MIN_KL
+        assert report.diagnostic.startswith(f"certificate at iterate {report.iterations}: D = ")
+        assert abs(float(report.kl_trace[-1]) - minimal_kl_oracle(dense, b)) <= 1e-4
 
 
 def test_general_solve_rectangular():

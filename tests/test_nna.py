@@ -43,7 +43,16 @@ from nnasolve import (
     spmv,
     spmv_transpose,
 )
-from nnasolve.nna import _BLOCK_ENTRIES, _CERTIFICATE_STRIDE, _CERTIFICATE_TOL, _norm
+from nnasolve.nna import (
+    _AA_WINDOW,
+    _BLOCK_ENTRIES,
+    _CERTIFICATE_STRIDE,
+    _CERTIFICATE_TOL,
+    _GLL_MEMORY,
+    _norm,
+    _run_iteration,
+    _solve,
+)
 from conftest import consistent_nonneg, identity, sparse_of
 
 
@@ -281,7 +290,9 @@ def test_shifted_step_tends_to_the_sart_step_as_one_over_t():
 
 def test_auto_shifted_general_solve_runs_as_sart():
     # the benchmark's mixed-sign recipe at m = 200: every embedded solve is
-    # shifted (c has J zeros), and the auto t (~1.7e4) is far above |x*| <= 1.5
+    # shifted (c has J zeros), and the auto t (~1.7e4) is far above |x*| <= 1.5;
+    # general_solve itself runs the accelerated loop, so the plain loop runs
+    # here on the embedded system it would solve, from the same all-ones start
     inst = gen_sparse_random(200, 1000, 100.0, 0)
     rows, cols, vals = inst.A.triplets()
     off = np.flatnonzero(rows != cols)
@@ -290,17 +301,17 @@ def test_auto_shifted_general_solve_runs_as_sart():
     A = from_arrays(200, 200, rows, cols, vals)
     b = spmv(A, inst.x_star)
     eps = 1e-4 * float(np.linalg.norm(b))
-    report = general_solve(A, b, cfg=SolverConfig(eps_tol=eps))
+    emb = embed(A, b)
+    report = _solve(emb.P, emb.c, np.ones(emb.P.ncols), SolverConfig(eps_tol=eps), emb.tie, _run_iteration)
     assert report.status is SolveStatus.CONVERGED
 
-    emb = embed(A, b)
     r, s = spmv(emb.P, np.ones(emb.P.ncols)), emb.P.col_sums
     y, n = np.ones(emb.P.ncols), 0
     while np.linalg.norm(spmv(A, y[:200]) - b) > eps:
         y = _sart_step(emb.P, emb.c, y, r, s)
         n += 1
     assert report.iterations == n == 739
-    assert np.abs(report.x - y[:200]).max() <= 1e-5
+    assert np.abs(report.x[:200] - y[:200]).max() <= 1e-5
 
 
 def test_solve_inconsistent_reaches_minimal_divergence():
@@ -810,6 +821,49 @@ def test_solve_property_divergence_never_rises(system, max_iter):
     assert np.all(kls[1:] <= kls[:-1] + 1e-12 * (1.0 + np.abs(kls[:-1])))
 
 
+def test_accelerated_window_and_memory_are_fixed():
+    assert (_AA_WINDOW, _GLL_MEMORY) == (10, 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=positive_systems(), max_iter=st.integers(0, 100))
+def test_accelerated_property_iterates_stay_on_the_simplex(system, max_iter):
+    # every point the accelerated loop multiplies by a_tilde after iterate 0
+    # (each accepted iterate, and each mixed point its divergence test
+    # weighs) is positive and sums to 1; the safeguard's reference, the
+    # largest divergence of the last _GLL_MEMORY iterates, never rises: a
+    # mixed point enters only at or below it, a plain step only at or below
+    # its iterate's divergence, up to the rounding the plain loop's property
+    # above allows
+    A, b = system
+    systems, points = [], []
+    rescale_, spmv_ = nnasolve.nna.rescale, nnasolve.nna.spmv
+
+    def recorded_rescale(*args):
+        systems.append(rescale_(*args))
+        return systems[-1]
+
+    def recorded_spmv(M, x):
+        if systems and M is systems[-1].a_tilde:
+            points.append(x)
+        return spmv_(M, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nnasolve.nna, "rescale", recorded_rescale)
+        patch.setattr(nnasolve.nna, "spmv", recorded_spmv)
+        report = general_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=max_iter))
+    assert report.status is not SolveStatus.BREAKDOWN
+    # one point an iterate, and at most one more per rejection
+    assert len(systems) == 1
+    assert report.iterations + 1 <= len(points) <= report.iterations + 1 + report.rejections
+    for x in points[1:]:
+        assert np.all(x > 0.0) and abs(x.sum() - 1.0) <= 1e-12
+    kls = report.kl_trace
+    assert kls.size == report.iterations + 1
+    reference = [kls[max(0, n - _GLL_MEMORY + 1) : n + 1].max() for n in range(kls.size)]
+    assert all(later <= earlier + 1e-12 * (1.0 + earlier) for earlier, later in zip(reference, reference[1:]))
+
+
 def _simplex_point(draw, m, lo):
     x = np.array(draw(st.lists(st.floats(lo, 1.0), min_size=m, max_size=m)))
     x[draw(st.integers(0, m - 1))] += 1.0  # never all zero
@@ -923,11 +977,15 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
     report = general_solve(sparse_of(dense), b, cfg=SolverConfig(eps_tol=1e-9, max_iter=50_000))
     assert report.status is SolveStatus.CONVERGED
     n = report.iterations
-    assert n == 403 and report.matvec_count == 2 * n + 2
+    # general_solve runs the accelerated loop: two products with P an
+    # iteration, one more per mixed point the safeguard rejects, and the one
+    # confirmation of convergence
+    assert n == 25 and report.rejections == 0
+    assert report.matvec_count == 2 * n + 2 + report.rejections
     # the counted products with P, shift's row sum, and one uncounted tie-block
     # product per tracked residual (n + 1) and per recomputed residual (1)
     assert calls.count("spmv_transpose") == n
-    assert len(calls) == report.matvec_count + 1 + (n + 2) == 1214
+    assert len(calls) == report.matvec_count + 1 + (n + 2) == 80
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nnasolve.embedding
 import nnasolve.nna
-from nnasolve import SolverConfig, gen_dense_uniform, general_solve, nna_solve, spmv
+from nnasolve import nna_solve, spmv
 from conftest import sparse_of
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -38,16 +37,6 @@ def _count_calls(monkeypatch, module, attr):
 
     monkeypatch.setattr(module, attr, counted)
     return calls
-
-
-def test_general_solve_on_a_nonnegative_matrix_calls_nna_solve_by_name(monkeypatch):
-    # nna.loop_self_s on dense-c06 and sparse-c07 is the self time of the span
-    # that wraps nnasolve.embedding.nna_solve; a J = 0 path that bypassed the
-    # name would read 0 there
-    calls = _count_calls(monkeypatch, nnasolve.embedding, "nna_solve")
-    inst = gen_dense_uniform(10, 0)
-    general_solve(inst.A, inst.b, cfg=SolverConfig(t_shift=10.0, max_iter=100))
-    assert len(calls) == 1
 
 
 def test_rescale_runs_once_per_attempt(monkeypatch):
