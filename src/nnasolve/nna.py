@@ -61,8 +61,6 @@ _MAX_AUTO_RETRIES = 6
 # gap bound at x_(n-1) is at most this share of its divergence
 _CERTIFICATE_STRIDE = 50
 _CERTIFICATE_TOL = 1e-4
-# the solve loop's block of ratio rows holds at most this many entries (32 KB)
-_BLOCK_ENTRIES = 4096
 # rate_certificate inverts the rescaled matrix densely, so only up to this size
 _CERTIFICATE_DENSE_LIMIT = 200
 # the accelerated loop mixes the last _AA_WINDOW differences of iterates, and
@@ -468,23 +466,13 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     residual of the returned x from A and b: the run stops, and converges,
     as that gate decides, like every baseline.
 
-    Each pass of the loop is one row, one iterate: the product M x_tilde,
-    the tracked residual, the ratio c = q / (M x_tilde) written into a row of
-    a preallocated block, and the update through _update, which nna_step
-    shares.  The loop counts each product where it makes it; matvec_count
-    adds the gate's recomputations.  The rows form blocks.  A block ends at
-    the first row whose residual reaches the gate, or once it holds width
-    rows; under that bound the certificate and max_iter can only fire on a
-    block's last row.  There one reduction gives every row's divergence
-    sum q log c, the typed checks of _ratio and kl_divergence run only on a
-    row whose divergence is not finite, the certificate is tested, and the
-    gate decides.  So the run stops on the row a row-by-row check would, and
-    no product is computed past it.  A block holds at most _BLOCK_ENTRIES
-    ratio entries, so it stays in cache; at m = 10 the certificate stride
-    (50 rows) bounds it first.  The arithmetic matches nna_step and
-    kl_divergence bit for bit: sqrt(d.dot(d)) is what np.linalg.norm
-    computes for a 1-D vector, and each row of the block reduction is what
-    np.sum computes on that row.
+    Each pass of the loop is one iterate: the product M x_tilde, the tracked
+    residual, the ratio c = q / (M x_tilde) and its divergence sum q log c,
+    the certificate, the gate, and the update through _update, which
+    nna_step shares.  The loop counts each product where it makes it;
+    matvec_count adds the gate's recomputations.
+    The arithmetic matches nna_step and kl_divergence bit for bit:
+    sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector.
 
     Certificate (Csiszar & Tusnady 1984): for x on the simplex g . x = 1 with
     g = M^T (q / M x), so by convexity gap = max_j g_j - 1 >= D(x) - D*.  As
@@ -495,72 +483,47 @@ def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
     """
     t = shifted.t
     system, xt, original, gate = _start_loop(A, b, shifted, x_start, eps, tie)
-    q = system.b_tilde
-    max_iter = cfg.max_iter
-    cap = max(1, _BLOCK_ENTRIES // max(1, q.size))
-    block = np.empty((min(cap, _CERTIFICATE_STRIDE, max_iter + 1), q.size))
-    rows = list(block)  # views, made once
-    # looked up once: the row body is a handful of numpy calls, so each
-    # attribute or global lookup it saves is a measurable share of it
-    a_tilde, b_total = system.a_tilde, system.b_total
-    sqrt, divide = math.sqrt, np.divide
-    bound = gate.gate  # the rows test the gate through this local copy
-    # typed buffers: 8 bytes an iterate, not a float object and its pointer
-    res_trace, kl_trace = gate.values, array("d")
-    products: list[np.ndarray] = []
-    made = 0  # products with a_tilde
-    n = k = 0  # the iterate, and its row in the open block
+    q, a_tilde, b_total = system.b_tilde, system.a_tilde, system.b_total
+    kl_trace = array("d")
+    made = n = 0  # products with a_tilde, and the iterate
     while True:
-        if k == 0:
-            width = min(_CERTIFICATE_STRIDE - n % _CERTIFICATE_STRIDE, max_iter - n + 1, cap)
         b_n = spmv(a_tilde, xt)
         made += 1
-        d = b_n - q if tie is None else original(b_n - q)
-        resid = b_total * sqrt(d.dot(d))
-        c_n = divide(q, b_n, rows[k])
-        products.append(b_n)
-        res_trace.append(resid)
-        k += 1
-        if resid <= bound or k == width:
-            # the block ends on iterate n
-            kls = np.add.reduce(q * np.log(block[:k]), axis=1).tolist()
-            if not math.isfinite(sum(kls)):
-                # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes
-                # a row's divergence non-finite; the typed checks name the defect
-                for i, kl in enumerate(kls):
-                    if not math.isfinite(kl):
-                        _ratio(q, products[i])
-                        kls[i] = metrics.kl_divergence(q, products[i])
-            if k == n + 1:
-                # iterate 0 is the start as given, off the simplex; as M is
-                # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at
-                # the normalized start is row 0's sum plus log sum(M x0)
-                kls[0] += math.log(products[0].sum())
-            kl_trace.fromlist(kls)
-            stop = None
-            if (n + 1) % _CERTIFICATE_STRIDE == 0:
-                # the stride keeps n >= 2, so x_(n-1) is on the simplex
-                gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
-                kl = kl_trace[n - 1]
-                if gap <= _CERTIFICATE_TOL * kl:
-                    stop = SolveStatus.STAGNATED_MIN_KL
-            gate.carried = True  # the rows append tracked residuals
-            status = gate.status(xt, n, max_iter, stop)
-            if status is not None:
-                break
-            bound = gate.gate
-            products.clear()
-            k = 0
+        d = original(b_n - q)
+        gate.values.append(b_total * math.sqrt(d.dot(d)))
+        gate.carried = True
+        c_n = q / b_n
+        kl = float(np.add.reduce(q * np.log(c_n)))
+        if not math.isfinite(kl):
+            # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes
+            # the divergence non-finite; the typed checks name the defect
+            _ratio(q, b_n)
+            kl = metrics.kl_divergence(q, b_n)
+        if n == 0:
+            # iterate 0 is the start as given, off the simplex; as M is
+            # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at
+            # the normalized start is this sum plus log sum(M x0)
+            kl += math.log(b_n.sum())
+        kl_trace.append(kl)
+        stop = None
+        if (n + 1) % _CERTIFICATE_STRIDE == 0:
+            # the stride keeps n >= 2, so x_(n-1) is on the simplex
+            gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
+            if gap <= _CERTIFICATE_TOL * kl_trace[n - 1]:
+                stop = SolveStatus.STAGNATED_MIN_KL
+        status = gate.status(xt, n, cfg.max_iter, stop)
+        if status is not None:
+            break
         x_prev, xt = xt, _update(system, xt, c_n)
         made += 1
         n += 1
 
-    diagnostic = _certificate_diagnostic(n - 1, kl, gap) if status is SolveStatus.STAGNATED_MIN_KL else None
+    diagnostic = _certificate_diagnostic(n - 1, kl_trace[-2], gap) if status is SolveStatus.STAGNATED_MIN_KL else None
     return SolveReport(
         status=status,
         iterations=n,
         x=system.recover(xt) - t,
-        residual_trace=np.frombuffer(res_trace),
+        residual_trace=np.frombuffer(gate.values),
         kl_trace=np.frombuffer(kl_trace),
         elapsed_ns=0,
         matvec_count=made + gate.recomputes,

@@ -45,7 +45,6 @@ from nnasolve import (
 )
 from nnasolve.nna import (
     _AA_WINDOW,
-    _BLOCK_ENTRIES,
     _CERTIFICATE_STRIDE,
     _CERTIFICATE_TOL,
     _GLL_MEMORY,
@@ -439,13 +438,13 @@ def _sparse_capped_case():
 
 
 def _dense_odd_cap_case():
-    # 1,238 rows: not a whole number of 50-row blocks
+    # 1,238 iterates: not a whole number of 50-iterate certificate strides
     inst = gen_dense_uniform(10, 0)
     return inst.A, inst.b, SolverConfig(eps_tol=1e-300, t_shift=10.0, max_iter=1237)
 
 
 def _wide_case():
-    # m = 300 rows: a block holds 4096 // 300 = 13 rows, fewer than the window
+    # m = 300, the widest case: it converges at iterate 406, between two certificate iterates
     inst = gen_sparse_random(300, 1500, 100.0, 1)
     return inst.A, inst.b, SolverConfig(eps_tol=1e-6 * float(np.linalg.norm(inst.b)), t_shift=0.0)
 
@@ -462,9 +461,9 @@ def _wide_case():
     ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter", "dense-odd-max-iter", "wide-converged"],
 )
 def test_solve_loop_matches_plain_kernels(case, expected):
-    # the block loop (one ratio per row for divergence, check and update; the
-    # divergences and stopping rules once per block) against the same stopping
-    # rules around nna_step and kl_divergence, bit for bit
+    # the solve loop (one ratio per iterate for divergence, check and update)
+    # against the same stopping rules around nna_step and kl_divergence, bit
+    # for bit
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
     status, iterations, res, kls, products, x = reference_solve(A, b, cfg)
@@ -476,14 +475,13 @@ def test_solve_loop_matches_plain_kernels(case, expected):
     np.testing.assert_array_equal(report.x, x)
 
 
-@pytest.mark.parametrize("m", [100, 300], ids=["blocks-of-40", "blocks-of-13"])
+@pytest.mark.parametrize("m", [100, 300])
 def test_certificate_is_tested_only_every_stride(m):
     # one column: every iterate from 1 on is the minimal-KL point (gap 0,
     # floored at 2^-52), so the run stops on the first iterate n with
-    # (n + 1) % 50 == 0, not on an earlier block end and not one iterate
-    # later (the same system at m = 2, one block per stride, is the second
-    # case of test_stagnation_streak_skips_the_start_off_the_simplex)
-    assert _BLOCK_ENTRIES // m < _CERTIFICATE_STRIDE
+    # (n + 1) % 50 == 0, not earlier and not one iterate later (the same
+    # system at m = 2 is the second case of
+    # test_stagnation_streak_skips_the_start_off_the_simplex)
     A = from_arrays(m, 1, np.arange(m), np.zeros(m, dtype=np.int64), np.ones(m))
     b = np.arange(1.0, m + 1.0)
     report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0))
@@ -994,13 +992,24 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
     ids=["stagnated", "converged"],
 )
 def test_no_product_past_the_stop(monkeypatch, case, expected):
-    # the block loop computes no product beyond the row where the run stops:
+    # the loop computes no product beyond the iterate where the run stops:
     # every kernel call is a counted product, bar shift's row sum A @ 1
     calls = _counting_kernels(monkeypatch)
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
     assert report.status is expected
     assert len(calls) == report.matvec_count + 1
+
+
+def test_a_breakdown_makes_no_product_past_the_bad_iterate(monkeypatch):
+    # M x0 overflows at iterate 0 (test_solve_nonfinite_mid_iteration_is_breakdown's
+    # system), and the run raises its typed breakdown there: the only kernel
+    # calls are shift's row sum A @ 1 and that one product
+    calls = _counting_kernels(monkeypatch)
+    A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)])
+    report = nna_solve(A, [1.0, 1.0], x0=np.full(2, 1e308))
+    assert report.status is SolveStatus.BREAKDOWN
+    assert len(calls) == 2
 
 
 def test_a_failed_confirmation_on_the_last_row_is_made_once(monkeypatch):
@@ -1066,9 +1075,9 @@ def test_a_run_that_ends_on_a_recomputed_residual_within_eps_converges():
     ],
 )
 def test_a_non_finite_tracked_residual_is_confirmed(monkeypatch, start, expected, products):
-    # more rows than a block holds entries, so each iterate is its own block
-    # and iterate 0 is a block end that does not end the run
-    m = nnasolve.nna._BLOCK_ENTRIES + 1
+    # at m = 3, 1e308 * sqrt(m) would be finite, and the breakdown case
+    # would converge at iterate 1
+    m = 4
     calls = _counting_kernels(monkeypatch)
     report = nna_solve(identity(m), np.ones(m), x0=np.full(m, start), cfg=SolverConfig(eps_tol=1e-8, max_iter=5))
     assert report.status is expected
