@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .nna import SolveReport, SolverConfig, _run_accelerated, _solve
+from .nna import _AA_WINDOW, SolveReport, SolverConfig, _solve
 from .nna import nna_solve  # noqa: F401  unused here, but perfbench/tracer.py patches this name
 from .sparse import SparseMatrix, _from_canonical, as_vector
 from .sparse import from_arrays, spmv  # noqa: F401  unused here, but perfbench/tracer.py patches these names
@@ -111,15 +111,14 @@ def general_solve(
 
     A nonnegative A is its own embedding (J = 0); any other gets one slack
     column per column with a negative entry.  The embedded system is solved
-    by nna_solve's shift, rescale and auto-shift retries, but through the
-    Anderson-accelerated loop (nna._run_accelerated) in place of the
-    paper's plain update: each iteration mixes the last 10 steps, and a
-    safeguard takes the plain step wherever the mixed point is not positive
-    or raises the divergence above the largest of the last 5 iterates'.
-    An iteration costs two products with P, plus one for each mixed point
-    the divergence test rejects (counted, with mixed points that are not
-    positive, in the report's rejections); stagnated_min_kl is certified
-    as in nna_solve, but at every iterate.
+    by nna_solve's shift, rescale, loop (nna._run_loop) and auto-shift
+    retries, but with an Anderson window of 10 where nna_solve's is 0: each
+    iteration mixes the last 10 steps, and a safeguard takes the paper's
+    plain step wherever the mixed point is not positive or raises the
+    divergence above the largest of the last 5 iterates'.  An iteration
+    costs two products with P, plus one for each mixed point the divergence
+    test rejects (counted, with mixed points that are not positive, in the
+    report's rejections); stagnated_min_kl is certified as in nna_solve.
 
     With x0 given, the embedded start is (x0, -x0 restricted to the tied
     columns), which the automatic shift clears (see nna_solve); the default
@@ -136,5 +135,5 @@ def general_solve(
     else:
         x0 = as_vector(x0, "x0", emb.m2)
         y0 = np.concatenate([x0, -x0[emb.neg_cols]])
-    report = _solve(emb.P, emb.c, y0, cfg, emb.tie, _run_accelerated)
+    report = _solve(emb.P, emb.c, y0, cfg, emb.tie, _AA_WINDOW)
     return replace(report, x=extract(report.x, emb))

@@ -57,15 +57,14 @@ __all__ = [
 ]
 
 _MAX_AUTO_RETRIES = 6
-# stagnated_min_kl: on every iterate n with (n + 1) % stride == 0, the duality
-# gap bound at x_(n-1) is at most this share of its divergence
-_CERTIFICATE_STRIDE = 50
+# stagnated_min_kl: the duality gap bound at an iterate is at most this share
+# of its divergence
 _CERTIFICATE_TOL = 1e-4
 # rate_certificate inverts the rescaled matrix densely, so only up to this size
 _CERTIFICATE_DENSE_LIMIT = 200
-# the accelerated loop mixes the last _AA_WINDOW differences of iterates, and
-# accepts a mixed point whose divergence is at most the largest of the last
-# _GLL_MEMORY accepted ones
+# general_solve's loop mixes the last _AA_WINDOW differences of iterates
+# (nna_solve's mixes none), and accepts a mixed point whose divergence is at
+# most the largest of the last _GLL_MEMORY accepted ones
 _AA_WINDOW = 10
 _GLL_MEMORY = 5
 # the mixing solve drops directions below this share of the scaled Gram
@@ -87,9 +86,8 @@ class SolverConfig:
 
     eps_tol None means the hybrid default 1e-8 * (1 + ||b||_2).  t_shift None
     selects the automatic positivity shift; any float >= 0 is used verbatim.
-    stagnated_min_kl rests on a duality gap certificate checked every 50
-    iterations by nna_solve and every iteration by general_solve; it has no
-    knob here.
+    stagnated_min_kl rests on a duality gap certificate that nna_solve and
+    general_solve check at every iterate; it has no knob here.
     """
 
     eps_tol: float | None = None
@@ -368,11 +366,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _update(system: NonnegativeSystem, x_n: np.ndarray, c_n: np.ndarray) -> np.ndarray:
-    """x_n * a_tilde^T c_n, the update given the ratio c_n = b_tilde / a_tilde x_n."""
-    return x_n * spmv_transpose(system.a_tilde, c_n)
-
-
 def nna_step(system: NonnegativeSystem, x_n: np.ndarray) -> np.ndarray:
     """One multiplicative update x_{n+1} = x_n * a_tilde^T (b_tilde / a_tilde x_n).
 
@@ -380,7 +373,7 @@ def nna_step(system: NonnegativeSystem, x_n: np.ndarray) -> np.ndarray:
     there.  Costs at most 4 * (nnz + m) flops.
     """
     b_n = spmv(system.a_tilde, x_n)
-    return _update(system, x_n, _ratio(system.b_tilde, b_n))
+    return x_n * spmv_transpose(system.a_tilde, _ratio(system.b_tilde, b_n))
 
 
 def nna_step_counted(system: NonnegativeSystem, x_n: np.ndarray) -> tuple[np.ndarray, int]:
@@ -430,108 +423,6 @@ def _breakdown(exc: Exception, ncols: int, started: int) -> SolveReport:
     )
 
 
-def _start_loop(A, b, shifted, x_start, eps, tie):
-    """What both solve loops start from: the rescaled system, iterate 0, the
-    map original(r) of a residual of A to one of the original system (r[:m1]
-    - tie r[m1:] for an embedded system, r itself when tie is None), and the
-    _ResidualGate whose recompute is the residual of the returned x."""
-    system = rescale(A, shifted.b_shifted)
-    # iterate 0 is the shifted start exactly as given (_solve keeps it
-    # positive); the first update lands on the probability simplex
-    xt = (x_start + shifted.t) * system.col_scale / system.b_total
-
-    def original(r):
-        return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
-
-    gate = _ResidualGate(eps, lambda x_tilde: original(spmv(A, system.recover(x_tilde) - shifted.t) - b))
-    return system, xt, original, gate
-
-
-def _certificate_diagnostic(n: int, kl: float, gap: float) -> str:
-    return f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
-
-
-# a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _run_iteration(A, b, shifted, x_start, cfg, eps, tie):
-    """Iterate from a fixed shift; returns a report without elapsed time filled in.
-
-    The loop tracks r = b_total * (M x_tilde - q), which is A x - b in exact
-    arithmetic.  For an embedded system (A = P, b = c, tie the m1 x J top
-    block of P's slack columns) the residual of the original system is
-    r[:m1] - tie r[m1:], and that is what is tracked; tie is None otherwise.
-    Neither is the residual of the returned x = recover(x_tilde) - t: the
-    subtraction of a large t cancels digits.  So every tracked residual is a
-    carried entry of the run's _ResidualGate, whose recompute is the
-    residual of the returned x from A and b: the run stops, and converges,
-    as that gate decides, like every baseline.
-
-    Each pass of the loop is one iterate: the product M x_tilde, the tracked
-    residual, the ratio c = q / (M x_tilde) and its divergence sum q log c,
-    the certificate, the gate, and the update through _update, which
-    nna_step shares.  The loop counts each product where it makes it;
-    matvec_count adds the gate's recomputations.
-    The arithmetic matches nna_step and kl_divergence bit for bit:
-    sqrt(d.dot(d)) is what np.linalg.norm computes for a 1-D vector.
-
-    Certificate (Csiszar & Tusnady 1984): for x on the simplex g . x = 1 with
-    g = M^T (q / M x), so by convexity gap = max_j g_j - 1 >= D(x) - D*.  As
-    x_n = x_(n-1) * g(x_(n-1)), the gap at x_(n-1) is max(x_n / x_(n-1)) - 1.
-    gap <= _CERTIFICATE_TOL * D(x_(n-1)) gives D* > 0 (no solution) and
-    D(x_n) - D* <= gap; on a consistent system D* = 0, so D <= gap and the
-    rule cannot fire, and the 2^-52 floor keeps a rounded fixed point out.
-    """
-    t = shifted.t
-    system, xt, original, gate = _start_loop(A, b, shifted, x_start, eps, tie)
-    q, a_tilde, b_total = system.b_tilde, system.a_tilde, system.b_total
-    kl_trace = array("d")
-    made = n = 0  # products with a_tilde, and the iterate
-    while True:
-        b_n = spmv(a_tilde, xt)
-        made += 1
-        d = original(b_n - q)
-        gate.values.append(b_total * math.sqrt(d.dot(d)))
-        gate.carried = True
-        c_n = q / b_n
-        kl = float(np.add.reduce(q * np.log(c_n)))
-        if not math.isfinite(kl):
-            # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes
-            # the divergence non-finite; the typed checks name the defect
-            _ratio(q, b_n)
-            kl = metrics.kl_divergence(q, b_n)
-        if n == 0:
-            # iterate 0 is the start as given, off the simplex; as M is
-            # column-stochastic and q sums to 1, D(q, M x0 / sum(M x0)) at
-            # the normalized start is this sum plus log sum(M x0)
-            kl += math.log(b_n.sum())
-        kl_trace.append(kl)
-        stop = None
-        if (n + 1) % _CERTIFICATE_STRIDE == 0:
-            # the stride keeps n >= 2, so x_(n-1) is on the simplex
-            gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
-            if gap <= _CERTIFICATE_TOL * kl_trace[n - 1]:
-                stop = SolveStatus.STAGNATED_MIN_KL
-        status = gate.status(xt, n, cfg.max_iter, stop)
-        if status is not None:
-            break
-        x_prev, xt = xt, _update(system, xt, c_n)
-        made += 1
-        n += 1
-
-    diagnostic = _certificate_diagnostic(n - 1, kl_trace[-2], gap) if status is SolveStatus.STAGNATED_MIN_KL else None
-    return SolveReport(
-        status=status,
-        iterations=n,
-        x=system.recover(xt) - t,
-        residual_trace=np.frombuffer(gate.values),
-        kl_trace=np.frombuffer(kl_trace),
-        elapsed_ns=0,
-        matvec_count=made + gate.recomputes,
-        diagnostic=diagnostic,
-        t_shift=t,
-    )
-
-
 def _divergence(q: np.ndarray, b_n: np.ndarray) -> float:
     """D(q, b_n) = sum q (delta - log1p delta) with delta = b_n / q - 1, which is
     sum q log(q / b_n) where b_n sums to 1: every term is nonnegative, and
@@ -555,17 +446,27 @@ def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _run_accelerated(A, b, shifted, x_start, cfg, eps, tie):
-    """Anderson-accelerated iteration from a fixed shift (general_solve's loop).
+def _run_loop(A, b, shifted, x_start, cfg, eps, tie, window):
+    """Iterate from a fixed shift; returns a report without elapsed time filled in.
 
-    Takes _run_iteration's arguments and returns the same report, with the
-    same tracked residual, _ResidualGate and recompute.  Each iterate x_n
-    (on the simplex from iterate 1 on) forms g = a_tilde^T (q / M x_n), the
-    plain step G(x_n) = x_n * g and its residual f_n = G(x_n) - x_n.
-    Anderson mixing (Walker & Ni 2011, SIAM J. Numer. Anal. 49:1715; for EM,
-    Henderson & Varadhan 2019, J. Comput. Graph. Stat. 28:834) over the
-    last _AA_WINDOW differences dG of plain steps and dF of residuals
-    (dG = dx + dF, dx the differences of iterates) proposes
+    The loop tracks r = b_total * (M x_tilde - q), which is A x - b in exact
+    arithmetic.  For an embedded system (A = P, b = c, tie the m1 x J top
+    block of P's slack columns) the residual of the original system is
+    r[:m1] - tie r[m1:], and that is what is tracked; tie is None otherwise.
+    Neither is the residual of the returned x = recover(x_tilde) - t: the
+    subtraction of a large t cancels digits.  So every tracked residual is a
+    carried entry of the run's _ResidualGate, whose recompute is the
+    residual of the returned x from A and b: the run stops, and converges,
+    as that gate decides, like every baseline.
+
+    Each iterate x_n (on the simplex from iterate 1 on) forms
+    g = a_tilde^T (q / M x_n) and the plain step G(x_n) = x_n * g, the
+    paper's update.  With window 0 (nna_solve) the plain step is x_(n+1).
+    With window w > 0 (general_solve), Anderson mixing (Walker & Ni 2011,
+    SIAM J. Numer. Anal. 49:1715; for EM, Henderson & Varadhan 2019,
+    J. Comput. Graph. Stat. 28:834) over the last w differences dG of plain
+    steps and dF of residuals f_n = G(x_n) - x_n (dG = dx + dF, dx the
+    differences of iterates) proposes
 
         x = G(x_n) - dG^T gamma,   gamma = argmin ||f_n - dF^T gamma||,
 
@@ -585,21 +486,32 @@ def _run_accelerated(A, b, shifted, x_start, cfg, eps, tie):
     product more; one with an entry <= 0 is rejected before any product.
     matvec_count adds the gate's recomputations.
 
-    The certificate is _run_iteration's, read at the iterate it tests from
-    the g every iteration forms: gap = max g - 1 >= D(x_n) - D*, and the
-    run stops as stagnated_min_kl once gap <= _CERTIFICATE_TOL * D(x_n).
+    Certificate (Csiszar & Tusnady 1984): for x on the simplex g . x = 1, so
+    by convexity gap = max_j g_j - 1 >= D(x_n) - D*, read at every iterate
+    n >= 1 from the g it forms.  gap <= _CERTIFICATE_TOL * D(x_n) gives
+    D* > 0 (no solution) and D(x_n) - D* <= gap, and the run stops as
+    stagnated_min_kl; on a consistent system D* = 0, so D <= gap and the
+    rule cannot fire, and the 2^-52 floor keeps a rounded fixed point out.
     kl_trace holds D at every iterate, iterate 0 scaled onto the simplex.
     """
     t = shifted.t
-    system, xt, original, gate = _start_loop(A, b, shifted, x_start, eps, tie)
+    system = rescale(A, shifted.b_shifted)
     q, a_tilde, b_total = system.b_tilde, system.a_tilde, system.b_total
+    # iterate 0 is the shifted start exactly as given (_solve keeps it
+    # positive); the first update lands on the probability simplex
+    xt = (x_start + t) * system.col_scale / b_total
+
+    def original(r):
+        return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
+
+    gate = _ResidualGate(eps, lambda x_tilde: original(spmv(A, system.recover(x_tilde) - t) - b))
     kl_trace = array("d")
     # ring buffers: row i holds a finished pair (dG, dF) for i < min(stored,
     # window) other than row stored % window, which holds (-G, -f) of the
     # last iterate until the next one finishes it
-    dg = np.empty((_AA_WINDOW, xt.size))
-    df = np.empty((_AA_WINDOW, xt.size))
-    gram = np.empty((_AA_WINDOW, _AA_WINDOW))  # dF dF^T over the finished rows
+    dg = np.empty((window, xt.size))
+    df = np.empty((window, xt.size))
+    gram = np.empty((window, window))  # dF dF^T over the finished rows
     stored = 0  # pairs finished since the history was last cleared
     b_n = spmv(a_tilde, xt)
     made = 1  # products with a_tilde
@@ -627,38 +539,43 @@ def _run_accelerated(A, b, shifted, x_start, cfg, eps, tie):
             status = gate.status(xt, n, cfg.max_iter, SolveStatus.STAGNATED_MIN_KL)
             break
         plain *= xt
-        # G(c x) = G(x), so iterate 0 enters the history scaled onto the simplex
-        f = plain - (xt if n else xt / xt.sum())
-        xt = plain
         b_n = kl = None
-        slot = stored % _AA_WINDOW
-        if n:
-            dg[slot] += plain
-            df[slot] += f
-            stored += 1
-            w = min(stored, _AA_WINDOW)
-            gram[slot, :w] = gram[:w, slot] = df[:w] @ df[slot]
-            mixed = _mixing_weights(gram[:w, :w], df[:w] @ f) @ dg[:w]
-            np.subtract(plain, mixed, out=mixed)
-            if mixed.min() > 0.0:
-                mixed /= mixed.sum()
-                b_mixed = spmv(a_tilde, mixed)
-                made += 1
-                kl_mixed = _divergence(q, b_mixed)
-                if kl_mixed <= max(kl_trace[-_GLL_MEMORY:]):
-                    xt, b_n, kl = mixed, b_mixed, kl_mixed
-            if b_n is None:
-                rejections += 1
-                stored = 0
-            slot = stored % _AA_WINDOW
-        np.negative(plain, out=dg[slot])
-        np.negative(f, out=df[slot])
+        if window:
+            # G(c x) = G(x), so iterate 0 enters the history scaled onto the simplex
+            f = plain - (xt if n else xt / xt.sum())
+            slot = stored % window
+            if n:
+                dg[slot] += plain
+                df[slot] += f
+                stored += 1
+                w = min(stored, window)
+                gram[slot, :w] = gram[:w, slot] = df[:w] @ df[slot]
+                mixed = _mixing_weights(gram[:w, :w], df[:w] @ f) @ dg[:w]
+                np.subtract(plain, mixed, out=mixed)
+                if mixed.min() > 0.0:
+                    mixed /= mixed.sum()
+                    b_mixed = spmv(a_tilde, mixed)
+                    made += 1
+                    kl_mixed = _divergence(q, b_mixed)
+                    if kl_mixed <= max(kl_trace[-_GLL_MEMORY:]):
+                        b_n, kl = b_mixed, kl_mixed
+                if b_n is None:
+                    rejections += 1
+                    stored = 0
+                slot = stored % window
+            np.negative(plain, out=dg[slot])
+            np.negative(f, out=df[slot])
         n += 1
         if b_n is None:
+            xt = plain
             b_n = spmv(a_tilde, xt)
             made += 1
+        else:
+            xt = mixed
 
-    diagnostic = _certificate_diagnostic(n, kl, gap) if status is SolveStatus.STAGNATED_MIN_KL else None
+    diagnostic = None
+    if status is SolveStatus.STAGNATED_MIN_KL:
+        diagnostic = f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
     return SolveReport(
         status=status,
         iterations=n,
@@ -694,12 +611,13 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     and values that overflow during the run come back as a BREAKDOWN report
     carrying a diagnostic instead of an exception.
     """
-    return _solve(A, b, x0, cfg, None)
+    return _solve(A, b, x0, cfg, None, 0)
 
 
-def _solve(A, b, x0, cfg, tie, loop=_run_iteration) -> SolveReport:
-    """nna_solve on A through loop (_run_iteration or _run_accelerated), with
-    residuals mapped through the tie block when it is not None."""
+def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
+    """nna_solve on A through _run_loop with the given Anderson window (0 for
+    the plain update), with residuals mapped through the tie block when it
+    is not None."""
     started = time.perf_counter_ns()
     b_arr, x_start, cfg, eps = _setup(A, b, x0, cfg, np.ones, square=False)
     try:
@@ -722,7 +640,7 @@ def _solve(A, b, x0, cfg, tie, loop=_run_iteration) -> SolveReport:
     attempt = 0
     while True:
         try:
-            report = loop(A, b_arr, shifted, x_start, cfg, eps, tie)
+            report = _run_loop(A, b_arr, shifted, x_start, cfg, eps, tie, window)
         except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
             return _breakdown(exc, A.ncols, started)
         matvecs += report.matvec_count

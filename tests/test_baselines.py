@@ -578,10 +578,13 @@ def solver_runs(draw, solver):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_every_solver_ends_on_the_recomputed_residual(solver, data):
-    # residuals are carried by recurrences, restarts and the rescaled NNA
-    # system, but every exit reports the residual of the returned x, every
-    # convergence rests on it, and every product is counted
-    dense, b, k, cfg = data.draw(solver_runs(solver))
+    _ends_on_the_recomputed_residual(solver, *data.draw(solver_runs(solver)))
+
+
+def _ends_on_the_recomputed_residual(solver, dense, b, k, cfg):
+    """Residuals are carried by recurrences, restarts and the rescaled NNA
+    system, but every exit reports the residual of the returned x, every
+    convergence rests on it, and every product is counted."""
     A = sparse_of(dense)
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_products(patch)
@@ -603,9 +606,12 @@ def test_every_solver_ends_on_the_recomputed_residual(solver, data):
         assert report.iterations == cfg.max_iter
     elif report.status is SolveStatus.BREAKDOWN:
         # a restart that cannot move x, or a CG residual that is 0 or whose
-        # square underflows
+        # square underflows (and p^T A p with it)
         assert solver in ("gmres", "minres", "cg", "normal-cg")
-        assert "x unchanged" in report.diagnostic or report.diagnostic.startswith("r^T r = 0.000e+00")
+        underflow = solver in ("cg", "normal-cg") and report.diagnostic.endswith(
+            "the recurrence left the floating-point range"
+        )
+        assert "x unchanged" in report.diagnostic or underflow
     else:
         assert report.status is SolveStatus.STAGNATED_MIN_KL and solver in ("nna", "general")
     # uncounted: shift's row sums A 1, and general_solve's tie block, the only
@@ -613,6 +619,22 @@ def test_every_solver_ends_on_the_recomputed_residual(solver, data):
     iterated = A.ncols + (embed(A, b).J if solver == "general" else 0)
     products = sum(ncols == iterated for ncols, _ in calls)
     assert products - (solver in ("nna", "general")) == report.matvec_count
+    return report
+
+
+def test_cgls_below_its_attainable_accuracy_ends_on_the_recomputed_residual():
+    # eps = 1e-16 ||b|| lies below what CGLS attains on this cond-2.29 system:
+    # the carried b - A x stays at 5.37e-17 from iteration 4 on, above eps and
+    # so never confirmed, while CG shrinks A^T s until, at iteration 22, r^T r
+    # is subnormal and p^T A p underflows to 0
+    dense = np.array([[1.8441603476206951, -0.7461233955998485], [0.02797007162340548, 0.9592406227179716]])
+    b = np.array([-0.3834114624841365, -0.28939854395352205])
+    cfg = SolverConfig(eps_tol=4.803705515606083e-17, max_iter=23)
+    report = _ends_on_the_recomputed_residual("normal-cg", dense, b, 1, cfg)
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic.startswith("r^T r = 4.941e-324, ||r|| = 1.789e-162, p^T A p = 0.000e+00 at iteration 22")
+    assert (report.iterations, report.matvec_count) == (22, 48)
+    assert report.residual_trace[-1] == pytest.approx(1.2413e-16, rel=1e-4)
 
 
 def test_a_cycle_stops_at_the_step_that_reaches_the_target(monkeypatch):

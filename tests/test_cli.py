@@ -339,12 +339,12 @@ def test_inconsistent_nonnegative_system_exits_0_with_its_certificate(tmp_path, 
     assert run(argv + ["--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "stagnated_min_kl" in out
-    assert "note: certificate at iterate 1448: D = " in out
+    assert "note: certificate at iterate 1444: D = " in out
 
 
 def test_capped_consistent_system_exits_1(tmp_path, capsys):
-    # c06's instance converges slowly: 200 iterations hold four checks of the
-    # certificate, and none fires on a system that has a solution
+    # c06's instance converges slowly: the certificate is checked at each of
+    # its 200 iterations, and never fires on a system that has a solution
     argv = ["solve", "--gen", "dense-uniform:m=10", "--solver", "nna", "--t", "10", "--tol", "1e-12"]
     assert run(argv + ["--max-iter", "200", "--out", str(tmp_path)]) == 1
     assert "max_iterations" in capsys.readouterr().out

@@ -45,11 +45,9 @@ from nnasolve import (
 )
 from nnasolve.nna import (
     _AA_WINDOW,
-    _CERTIFICATE_STRIDE,
     _CERTIFICATE_TOL,
     _GLL_MEMORY,
     _norm,
-    _run_iteration,
     _solve,
 )
 from conftest import consistent_nonneg, identity, sparse_of
@@ -290,8 +288,9 @@ def test_shifted_step_tends_to_the_sart_step_as_one_over_t():
 def test_auto_shifted_general_solve_runs_as_sart():
     # the benchmark's mixed-sign recipe at m = 200: every embedded solve is
     # shifted (c has J zeros), and the auto t (~1.7e4) is far above |x*| <= 1.5;
-    # general_solve itself runs the accelerated loop, so the plain loop runs
-    # here on the embedded system it would solve, from the same all-ones start
+    # general_solve itself mixes (window _AA_WINDOW), so the loop runs here at
+    # window 0 on the embedded system it would solve, from the same all-ones
+    # start
     inst = gen_sparse_random(200, 1000, 100.0, 0)
     rows, cols, vals = inst.A.triplets()
     off = np.flatnonzero(rows != cols)
@@ -301,7 +300,7 @@ def test_auto_shifted_general_solve_runs_as_sart():
     b = spmv(A, inst.x_star)
     eps = 1e-4 * float(np.linalg.norm(b))
     emb = embed(A, b)
-    report = _solve(emb.P, emb.c, np.ones(emb.P.ncols), SolverConfig(eps_tol=eps), emb.tie, _run_iteration)
+    report = _solve(emb.P, emb.c, np.ones(emb.P.ncols), SolverConfig(eps_tol=eps), emb.tie, 0)
     assert report.status is SolveStatus.CONVERGED
 
     r, s = spmv(emb.P, np.ones(emb.P.ncols)), emb.P.col_sums
@@ -371,7 +370,8 @@ def reference_solve(A, b, cfg):
     Returns (status, iterations, residual_trace, kl_trace, products, x) for an
     explicit shift.  products counts what the loop counts: one product per
     iterate, one per update (nna_step recomputes M x, which the loop reuses
-    from the iterate's row) and one per recomputed residual.
+    from the iterate's row), the update the certificate reads its gap from
+    when it stops the run, and one per recomputed residual.
     """
     t = cfg.t_shift
     system = rescale(A, shift(A, b, t).b_shifted)
@@ -398,17 +398,18 @@ def reference_solve(A, b, cfg):
             if exact <= cfg.eps_tol:
                 return SolveStatus.CONVERGED, n, res, kls, products, system.recover(xt) - t
             gate = tracked * cfg.eps_tol / exact
-        if n >= 2 and (n + 1) % _CERTIFICATE_STRIDE == 0:
-            # x_n = x_(n-1) * g(x_(n-1)): the gap bound at x_(n-1) from the ratio
-            gap = max(float((xt / x_prev).max()) - 1.0, 2.0**-52)
-            if gap <= _CERTIFICATE_TOL * kls[n - 1]:
-                status = SolveStatus.STAGNATED_MIN_KL
-                break
         if n >= cfg.max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
-        x_prev, xt = xt, nna_step(system, xt)
+        x_next = nna_step(system, xt)
         products += 1
+        # x_(n+1) = x_n * g(x_n): the gap bound at x_n from the ratio, off
+        # the simplex at n = 0
+        gap = max(float((x_next / xt).max()) - 1.0, 2.0**-52)
+        if n >= 1 and gap <= _CERTIFICATE_TOL * kl:
+            status = SolveStatus.STAGNATED_MIN_KL
+            break
+        xt = x_next
         n += 1
     res[-1] = exact_residual(xt)
     products += 1
@@ -425,7 +426,7 @@ def _dense_shifted_case():
 
 
 def _inconsistent_case():
-    # the certificate first holds at iterate 1,449, after 28 checks that failed
+    # the certificate first holds at iterate 1,444
     rng = np.random.default_rng(6)
     return sparse_of(rng.uniform(0.2, 1.0, (3, 2))), rng.uniform(0.5, 1.5, 3), SolverConfig(
         eps_tol=1e-12, t_shift=0.0, max_iter=200_000
@@ -438,13 +439,13 @@ def _sparse_capped_case():
 
 
 def _dense_odd_cap_case():
-    # 1,238 iterates: not a whole number of 50-iterate certificate strides
+    # c06's instance at t = 10, capped long before it converges
     inst = gen_dense_uniform(10, 0)
     return inst.A, inst.b, SolverConfig(eps_tol=1e-300, t_shift=10.0, max_iter=1237)
 
 
 def _wide_case():
-    # m = 300, the widest case: it converges at iterate 406, between two certificate iterates
+    # m = 300, the widest case: it converges at iterate 406
     inst = gen_sparse_random(300, 1500, 100.0, 1)
     return inst.A, inst.b, SolverConfig(eps_tol=1e-6 * float(np.linalg.norm(inst.b)), t_shift=0.0)
 
@@ -461,58 +462,65 @@ def _wide_case():
     ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter", "dense-odd-max-iter", "wide-converged"],
 )
 def test_solve_loop_matches_plain_kernels(case, expected):
-    # the solve loop (one ratio per iterate for divergence, check and update)
-    # against the same stopping rules around nna_step and kl_divergence, bit
-    # for bit
+    # the solve loop at window 0 against the same stopping rules around
+    # nna_step and kl_divergence, bit for bit but for the divergence: the
+    # loop sums q (delta - log1p delta), kl_divergence q log(q / M x), and
+    # the two differ by at most 3.0e-16 on these cases
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
     status, iterations, res, kls, products, x = reference_solve(A, b, cfg)
     assert report.status is status is expected
     assert report.iterations == iterations
     np.testing.assert_array_equal(report.residual_trace, res)
-    np.testing.assert_array_equal(report.kl_trace, kls)
+    np.testing.assert_allclose(report.kl_trace, kls, rtol=0.0, atol=1e-15)
     assert report.matvec_count == products
     np.testing.assert_array_equal(report.x, x)
+    # every entry is a divergence, iterate 0's at the start scaled onto the
+    # simplex, so none is negative, not even near a solution, where a sum of
+    # q log(q / M x) rounds below 0
+    assert np.all(report.kl_trace >= 0.0)
 
 
 @pytest.mark.parametrize("m", [100, 300])
-def test_certificate_is_tested_only_every_stride(m):
+def test_certificate_is_read_from_iterate_one(m):
     # one column: every iterate from 1 on is the minimal-KL point (gap 0,
-    # floored at 2^-52), so the run stops on the first iterate n with
-    # (n + 1) % 50 == 0, not earlier and not one iterate later (the same
-    # system at m = 2 is the second case of
+    # floored at 2^-52), so the run stops at iterate 1.  The start x0 = m puts
+    # iterate 0 above the simplex, where g = (m + 1) / 2m < 1 reads a gap
+    # below 0: the certificate is not read there, or the run would stop at
+    # iterate 0 (the same system at m = 2 is the second case of
     # test_stagnation_streak_skips_the_start_off_the_simplex)
     A = from_arrays(m, 1, np.arange(m), np.zeros(m, dtype=np.int64), np.ones(m))
     b = np.arange(1.0, m + 1.0)
-    report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0))
+    report = nna_solve(A, b, x0=[float(m)], cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0))
     assert report.status is SolveStatus.STAGNATED_MIN_KL
-    assert report.iterations == _CERTIFICATE_STRIDE - 1
-    capped = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=_CERTIFICATE_STRIDE - 2))
-    assert capped.status is SolveStatus.MAX_ITERATIONS
-    A, b, cfg = _inconsistent_case()
-    report = nna_solve(A, b, cfg=cfg)
-    assert report.status is SolveStatus.STAGNATED_MIN_KL
-    assert (report.iterations + 1) % _CERTIFICATE_STRIDE == 0
+    assert report.iterations == 1
 
 
 def test_stagnated_report_carries_a_certificate_that_recomputes():
-    # the diagnostic names D(q, M x) and the gap max_j g_j - 1 at x_(n-1);
-    # both recompute from x_(n-1) with plain products, and they certify that
-    # the minimal divergence is positive, so the system has no solution
+    # the diagnostic names D(q, M x) and the gap max_j g_j - 1 at x_n, the
+    # iterate the run stops at; both recompute from x_n with plain products,
+    # and they certify that the minimal divergence is positive, so the system
+    # has no solution.  The certificate is read at every iterate, so at
+    # x_(n-1) it does not hold yet
     A, b, cfg = _inconsistent_case()
     report = nna_solve(A, b, cfg=cfg)
     n = report.iterations
     found = re.fullmatch(r"certificate at iterate (\d+): D = (\S+), gap = max g - 1 = (\S+)", report.diagnostic)
-    assert int(found[1]) == n - 1
+    assert int(found[1]) == n
     kl, gap = float(found[2]), float(found[3])
-    before = nna_solve(A, b, cfg=replace(cfg, max_iter=n - 1))
     system = rescale(A, b)
-    x = tilde_of(before.x, A, system.b_total)
-    Mx = spmv(system.a_tilde, x)
-    g = spmv_transpose(system.a_tilde, system.b_tilde / Mx)
-    assert kl == pytest.approx(kl_divergence(system.b_tilde, Mx), rel=1e-6)
-    assert gap == pytest.approx(g.max() - 1.0, rel=1e-3)
+
+    def certificate(x):
+        Mx = spmv(system.a_tilde, tilde_of(x, A, system.b_total))
+        g = spmv_transpose(system.a_tilde, system.b_tilde / Mx)
+        return kl_divergence(system.b_tilde, Mx), g.max() - 1.0
+
+    kl_n, gap_n = certificate(report.x)
+    assert kl == pytest.approx(kl_n, rel=1e-6)
+    assert gap == pytest.approx(gap_n, rel=1e-3)
     assert 0.0 < gap <= _CERTIFICATE_TOL * kl
+    kl_before, gap_before = certificate(nna_solve(A, b, cfg=replace(cfg, max_iter=n - 1)).x)
+    assert gap_before > _CERTIFICATE_TOL * kl_before
 
 
 def test_stagnation_streak_skips_the_start_off_the_simplex():
@@ -526,15 +534,15 @@ def test_stagnation_streak_skips_the_start_off_the_simplex():
     x_hat = system.col_scale / system.col_scale.sum()
     start = kl_divergence(system.b_tilde, spmv(system.a_tilde, x_hat))
     assert report.kl_trace[0] == pytest.approx(start, rel=1e-12)
-    # and the certificate is never taken at iterate 0: here every iterate from
-    # 1 on is the minimal-KL point, but x_1 / x_0 reads a gap of 0.5, so a
-    # check at n = 1 would not fire; the first check, at n = 49, does
+    # and the certificate is never read at iterate 0, whose g reads a gap of
+    # 0.5 here; every iterate from 1 on is the minimal-KL point, so the run
+    # stops at iterate 1
     report = nna_solve(
         from_triplets(2, 1, [(0, 0, 1.0), (1, 0, 1.0)]), [1.0, 2.0],
         cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0),
     )
     assert report.status is SolveStatus.STAGNATED_MIN_KL
-    assert report.iterations == _CERTIFICATE_STRIDE - 1
+    assert report.iterations == 1
 
 
 def test_solve_memory_per_iterate_is_the_two_traces():
@@ -600,7 +608,7 @@ def test_solve_auto_shift_recovers_signed_solution():
 def test_solve_auto_shift_retries_count_every_attempt():
     # x* = (3, -3) needs a shift above 3: at t = 0.317, 0.634, 1.267 and 2.535
     # the shifted system has no solution, and the certificate stops each
-    # attempt (199, 449, 1299 and 9799 iterations) before t = 5.069 converges
+    # attempt (172, 428, 1253 and 9753 iterations) before t = 5.069 converges
     # in 9201; matvec_count sums the products of all five attempts
     A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
     b = spmv(A, np.array([3.0, -3.0]))
@@ -609,7 +617,7 @@ def test_solve_auto_shift_retries_count_every_attempt():
     assert report.iterations == 9201
     recomputed = float(np.linalg.norm(A.to_dense() @ report.x - b))
     assert recomputed <= default_tolerance(b)
-    assert report.matvec_count == 41_904
+    assert report.matvec_count == 41_628
     # the report names the kept attempt's shift and counts every attempt
     assert report.t_shift == pytest.approx(5.069, rel=1e-3)
     assert report.attempts == 5
@@ -812,9 +820,10 @@ def test_solve_property_divergence_never_rises(system, max_iter):
     report = nna_solve(A, b, cfg=SolverConfig(eps_tol=1e-300, t_shift=0.0, max_iter=max_iter))
     assert report.status is not SolveStatus.BREAKDOWN
     assert report.kl_trace.size == report.iterations + 1
-    # from iterate 1 on, every iterate is on the simplex; iterate 0 is the
-    # start as given, whose M x0 need not sum to one, so its entry is no
-    # divergence between distributions and may even be negative
+    # every entry is a divergence between distributions, iterate 0's taken at
+    # the start scaled onto the simplex, so none is negative; from iterate 1
+    # on, every iterate is on the simplex and the divergence never rises
+    assert np.all(report.kl_trace >= 0.0)
     kls = report.kl_trace[1:]
     assert np.all(kls[1:] <= kls[:-1] + 1e-12 * (1.0 + np.abs(kls[:-1])))
 
@@ -1065,10 +1074,11 @@ def test_a_run_that_ends_on_a_recomputed_residual_within_eps_converges():
 @pytest.mark.parametrize(
     "start, expected, products",
     [
-        # tracked ||A x0 - b|| overflows in the rescaled coordinates but the
-        # recomputed one, 1e200 * sqrt(m), is finite: the run goes on and
-        # converges at iterate 1 (the loop used to skip the confirmation: 4)
-        (1e200, SolveStatus.CONVERGED, 5),
+        # ||A x0 - b|| = 1e200 * sqrt(m) is finite, and so is its tracked
+        # value, whose norm is scaled where the plain sum of squares
+        # overflows: the run goes on, with no confirmation at iterate 0, and
+        # converges at iterate 1
+        (1e200, SolveStatus.CONVERGED, 4),
         # b - A x0 overflows too, so the start is a breakdown (the loop used
         # to go on and converge at iterate 1)
         (1e308, SolveStatus.BREAKDOWN, 2),
