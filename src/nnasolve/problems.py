@@ -309,14 +309,11 @@ def read_matrix_market(path) -> SparseMatrix:
     return from_arrays(nrows, ncols, rows, cols, vals)
 
 
-def write_matrix_market(A: SparseMatrix, path, comment: str | None = None) -> None:
+def write_matrix_market(A: SparseMatrix, path) -> None:
     """Write a matrix as 'coordinate real general' with 1-based indices."""
     rows, cols, vals = A.triplets()
     with open(path, "w", newline="") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for part in comment.splitlines():
-                fh.write(f"% {part}\n")
         fh.write(f"{A.nrows} {A.ncols} {A.nnz}\n")
         for i, j, v in zip(rows, cols, vals):
             fh.write(f"{i + 1} {j + 1} {v:.17g}\n")

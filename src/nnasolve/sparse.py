@@ -1,11 +1,10 @@
 """Compressed sparse column matrices and the two matrix-vector kernels every solver uses.
 
 Storage is CSC with strictly increasing row indices inside each column, no
-explicitly stored zeros, and cached column sums.  A matrix that stores every
-entry holds its values in column-major order, so it also keeps them viewed as
-the dense array A^T, and both kernels multiply through BLAS on that view.
-Matrices are immutable after construction and safe to share across threads;
-all operations here are pure.
+explicitly stored zeros, and cached column sums.  Both kernels gather the
+vector at the stored entries and sum the products with bincount, however
+many entries a matrix stores.  Matrices are immutable after construction and
+safe to share across threads; all operations here are pure.
 """
 
 from __future__ import annotations
@@ -57,17 +56,15 @@ class SparseMatrix:
     values : float64 array, no stored zeros
     col_sums : float64 array, cached per-column sums of the stored values
     entry_col : int64 array mapping each stored entry to its column
-    dense_t : when every entry is stored, values viewed as the (ncols, nrows)
-        row-major array A^T (column j of A is row j); None otherwise
     """
 
-    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "col_sums", "entry_col", "dense_t")
+    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "col_sums", "entry_col")
 
     def __init__(self, nrows, ncols, col_ptr, row_idx, values):
         nrows, ncols = int(nrows), int(ncols)
         col_ptr = np.asarray(col_ptr, dtype=np.int64)
         row_idx = np.asarray(row_idx, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
         if col_ptr.shape != (ncols + 1,):
             raise DimensionMismatch("col_ptr must have length ncols + 1")
         if col_ptr[0] != 0 or col_ptr[-1] != values.size:
@@ -99,10 +96,6 @@ class SparseMatrix:
         self.col_ptr, self.row_idx, self.values, self.entry_col = col_ptr, row_idx, values, entry_col
         # bincount of no entries comes back int64, hence the cast
         self.col_sums = np.bincount(entry_col, weights=values, minlength=ncols).astype(np.float64, copy=False)
-        # with strictly increasing rows, nrows * ncols entries fill every column
-        # in row order, so values is A in column-major order
-        full = 0 < values.size == nrows * ncols
-        self.dense_t = values.reshape(ncols, nrows) if full else None
 
     @property
     def nnz(self) -> int:
@@ -217,17 +210,10 @@ def from_triplets(nrows, ncols, entries) -> SparseMatrix:
 
 
 def spmv(A: SparseMatrix, x) -> np.ndarray:
-    """Compute A @ x in O(nnz): one multiply and one add per stored entry.
-
-    A fully stored matrix multiplies through BLAS on its dense view.  Its
-    results match the gather below to rounding, non-finite entries included,
-    but numpy reports an overflow or inf - inf inside BLAS as a warning.
-    """
+    """Compute A @ x in O(nnz): one multiply and one add per stored entry."""
     x = np.asarray(x, np.float64)
     if x.shape != (A.ncols,):
         raise DimensionMismatch(f"x has length {x.shape}, expected {A.ncols}")
-    if A.dense_t is not None:
-        return x.dot(A.dense_t)
     if A.values.size == 0:
         return np.zeros(A.nrows)
     # the gather is a fresh array, so it takes the products in place: one nnz
@@ -239,12 +225,10 @@ def spmv(A: SparseMatrix, x) -> np.ndarray:
 
 
 def spmv_transpose(A: SparseMatrix, c) -> np.ndarray:
-    """Compute A.T @ c in O(nnz) without materializing the transpose; as spmv for full storage."""
+    """Compute A.T @ c in O(nnz) without materializing the transpose."""
     c = np.asarray(c, np.float64)
     if c.shape != (A.nrows,):
         raise DimensionMismatch(f"c has length {c.shape}, expected {A.nrows}")
-    if A.dense_t is not None:
-        return A.dense_t.dot(c)
     if A.values.size == 0:
         return np.zeros(A.ncols)
     terms = c[A.row_idx]

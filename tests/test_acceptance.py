@@ -207,7 +207,7 @@ def test_c06_figure1_shift_robustness():
     (em_rate_budget): about 1e5 iterations at rho ~ 0.9998.  The tail of each
     residual trace must contract at that rho.  Work is bounded by the budgets,
     so the elapsed-time check is only a hang guard: the ~2.8e5 iterations
-    took 4.6-5.7 s over three runs on a shared 2-vCPU Xeon VM whose speed
+    took 4.0-5.6 s over three runs on a shared 2-vCPU Xeon VM whose speed
     swings by 2x.
     """
     started = time.time()

@@ -181,24 +181,34 @@ def test_cg_converges_only_on_a_recomputed_residual():
         assert report.status is not SolveStatus.CONVERGED or true <= eps
 
 
-def test_cg_keeps_confirming_after_a_carried_zero():
-    # eigenvalues 1 and 8.4e7, eps below what CG attains: at iterate 26 the
+def test_cg_keeps_confirming_after_a_carried_zero(monkeypatch):
+    # eigenvalues 1 and 7.6e7, eps below what CG attains: at iterate 11 the
     # recurrence residual is exactly 0 and its confirmation fails; the gate
     # must stay above 0, or no later carried value is confirmed until r^T r
-    # underflows and the run ends as breakdown (after 67 iterations here)
-    A = sparse_of([[3285865.8166930215, -3592963.1781493993], [-3592963.1781493993, 3928764.0866475417]])
-    b = np.array([-0.8154539668934158, 0.18520551390942064])
-    eps = 8.362214147608638e-11
+    # underflows and the run ends as breakdown (after 43 iterations here)
+    confirmed = []
+    confirm = _ResidualGate.confirm
+
+    def recording(gate, x):
+        carried = gate.values[-1] if gate.carried else None
+        confirm(gate, x)
+        confirmed.append((carried, gate.values[-1]))
+
+    monkeypatch.setattr(_ResidualGate, "confirm", recording)
+    A = sparse_of([[69817413.53626642, -20175903.062596496], [-20175903.062596496, 5830452.883043374]])
+    b = np.array([0.5693197254611927, 0.011143070642764812])
+    eps = 5.694287644846873e-11
     report = cg_solve(A, b, cfg=SolverConfig(eps_tol=eps, max_iter=200))
+    assert any(carried == 0.0 and exact > eps for carried, exact in confirmed)
     assert report.status is SolveStatus.CONVERGED
-    assert (report.iterations, report.matvec_count) == (86, 100)
+    assert (report.iterations, report.matvec_count) == (31, 37)
     assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) <= eps
 
 
 def test_cg_restarts_from_a_replaced_residual():
-    # at 1e-9 ||b|| the first confirmation fails on all but seed 0; restarting
-    # from the recomputed residual converges on six of these eight systems,
-    # keeping the old direction across it on one
+    # at 1e-9 ||b|| the first confirmation fails on all eight systems;
+    # restarting from the recomputed residual converges on seven of them,
+    # keeping the old direction across it on none
     converged = []
     for seed in range(8):
         A, b = _condition_1e8(seed)
@@ -207,7 +217,7 @@ def test_cg_restarts_from_a_replaced_residual():
         if report.status is SolveStatus.CONVERGED:
             assert np.linalg.norm(b - spmv(A, report.x)) == report.residual_trace[-1] <= eps
             converged.append(seed)
-    assert converged == [0, 2, 3, 4, 5, 7]
+    assert converged == [0, 1, 2, 3, 4, 5, 7]
 
 
 def test_cg_directions_are_conjugate():
@@ -589,7 +599,7 @@ def _ends_on_the_recomputed_residual(solver, dense, b, k, cfg):
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_products(patch)
         report = _EVERY_SOLVER[solver][0](A, b, k, cfg)
-    true = np.linalg.norm(b - spmv(A, report.x))
+    true = _norm(b - spmv(A, report.x))  # np.linalg.norm loses digits below 1e-154
     last = report.residual_trace[-1]
     assert report.residual_trace.size == report.iterations + 1
     if solver in ("general", "jacobi"):
@@ -624,17 +634,40 @@ def _ends_on_the_recomputed_residual(solver, dense, b, k, cfg):
 
 def test_cgls_below_its_attainable_accuracy_ends_on_the_recomputed_residual():
     # eps = 1e-16 ||b|| lies below what CGLS attains on this cond-2.29 system:
-    # the carried b - A x stays at 5.37e-17 from iteration 4 on, above eps and
+    # the carried b - A x stays at 5.58e-17 from iteration 4 on, above eps and
     # so never confirmed, while CG shrinks A^T s until, at iteration 22, r^T r
-    # is subnormal and p^T A p underflows to 0
+    # underflows to 0
     dense = np.array([[1.8441603476206951, -0.7461233955998485], [0.02797007162340548, 0.9592406227179716]])
     b = np.array([-0.3834114624841365, -0.28939854395352205])
     cfg = SolverConfig(eps_tol=4.803705515606083e-17, max_iter=23)
     report = _ends_on_the_recomputed_residual("normal-cg", dense, b, 1, cfg)
     assert report.status is SolveStatus.BREAKDOWN
-    assert report.diagnostic.startswith("r^T r = 4.941e-324, ||r|| = 1.789e-162, p^T A p = 0.000e+00 at iteration 22")
-    assert (report.iterations, report.matvec_count) == (22, 48)
+    assert report.diagnostic.startswith("r^T r = 0.000e+00, ||r|| = 1.506e-162, p^T A p = nan at iteration 22")
+    assert (report.iterations, report.matvec_count) == (22, 46)
     assert report.residual_trace[-1] == pytest.approx(1.2413e-16, rel=1e-4)
+
+
+def test_cg_whose_p_a_p_underflows_ends_on_the_recomputed_residual():
+    # r^T r = 1.976e-322 is subnormal but not 0, and p^T A p underflows to 0
+    # at the first step: the typed underflow exit, whose diagnostic neither
+    # starts "r^T r = 0.000e+00" nor says "x unchanged"
+    cfg = SolverConfig(eps_tol=1e-300, max_iter=50)
+    report = _ends_on_the_recomputed_residual("cg", np.diag([1e-3, 1e-3]), np.array([1e-161, 1e-161]), 1, cfg)
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic.startswith("r^T r = 1.976e-322, ||r|| = 1.414e-161, p^T A p = 0.000e+00 at iteration 0")
+    assert (report.iterations, report.matvec_count) == (0, 1)
+
+
+def test_cgls_stops_where_a_transpose_s_is_zero():
+    # s = b is orthogonal to the one column of A, so A^T s = 0 exactly (the sums
+    # are exact) while ||s|| = sqrt(2): no step can move x
+    report = _ends_on_the_recomputed_residual(
+        "normal-cg", np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), 1, SolverConfig(eps_tol=1e-9)
+    )
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic.startswith("iteration 0: r = 0, ")
+    assert (report.iterations, report.matvec_count) == (0, 1)
+    assert report.residual_trace.tolist() == [math.sqrt(2.0)]
 
 
 def test_a_cycle_stops_at_the_step_that_reaches_the_target(monkeypatch):
@@ -748,17 +781,18 @@ def test_normal_cg_counts_every_product(monkeypatch):
 
 
 def test_normal_cg_stops_where_its_recurrence_residual_is_zero():
-    # at iteration 22, A^T s is not 0 (max |.| = 9.6e-166) but its square
-    # underflows to 0 while ||s|| = 5.6e-17 is above eps; the run ends there,
+    # at iteration 21, A^T s is not 0 (||.|| = 1.6e-163) but its square
+    # underflows to 0 while ||s|| = 1.1e-16 is above eps; the run ends there,
     # before a product by the next direction (it once raised
     # IndefiniteBreakdown on a positive definite A^T A)
     A = sparse_of([[1.77369681, -0.46042657], [-0.91805295, 2.33080853]])
     b = np.array([0.21327155, 0.45899312])
     report = normal_equation_solve(A, b, cfg=SolverConfig(eps_tol=5.06e-17, max_iter=100))
-    assert report.status is SolveStatus.BREAKDOWN and report.iterations == 22
-    assert report.diagnostic.startswith("r^T r = 0.000e+00, ||r|| = 1.200e-165, p^T A p = nan at iteration 22")
-    # A^T b, two products a step and one confirmation, none by the zero direction
-    assert report.matvec_count == 1 + 2 * 22 + 1
+    assert report.status is SolveStatus.BREAKDOWN and report.iterations == 21
+    assert report.diagnostic.startswith("r^T r = 0.000e+00, ||r|| = 1.568e-163, p^T A p = nan at iteration 21")
+    # A^T b, two products a step and two confirmations (the one at iteration
+    # 3 fails), none by the zero direction
+    assert report.matvec_count == 1 + 2 * 21 + 2
     assert report.residual_trace[-1] == np.linalg.norm(b - spmv(A, report.x)) > 5.06e-17
 
 

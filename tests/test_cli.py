@@ -91,6 +91,12 @@ def test_gmres_requires_k(tmp_path, capsys):
     assert "--k" in capsys.readouterr().err
 
 
+def test_restart_length_below_one_is_input_error(tmp_path, capsys):
+    argv = ["solve", "--gen", "sparse-random:m=8,offdiag=16,diag-hi=20", "--solver", "gmres", "--k", "0"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: restart length k must be >= 1\n"
+
+
 def test_unknown_solver_rejected(tmp_path, capsys):
     code = run(
         ["solve", "--gen", "sparse-random:m=8,offdiag=16,diag-hi=20", "--solver", "sor", "--out", str(tmp_path)]

@@ -2,7 +2,8 @@
 
 Each entry point that takes a vector checks its length against the matrix,
 rejects a vector that is not 1-D, and rejects NaN and infinity, all through
-as_vector; the typed raises of rate_certificate and nna_step_counted follow.
+as_vector; the restart length check and the typed raises of rate_certificate
+and nna_step_counted follow.
 """
 
 import numpy as np
@@ -77,6 +78,12 @@ def test_shape_is_checked_before_values(entry):
     for name in _ENTRY_POINTS[entry][1]:
         with pytest.raises(DimensionMismatch, match=f"^{name} has length 3"):
             _with(entry, name, [np.nan, 1.0, 1.0])()
+
+
+@pytest.mark.parametrize("solve", [gmres_restarted, minres_solve], ids=["gmres", "minres"])
+def test_restart_length_below_one_is_rejected(solve):
+    with pytest.raises(DimensionMismatch, match="^restart length k must be >= 1$"):
+        solve(_SPD, _GOOD["b"], k=0)
 
 
 def test_nna_checks_x0_before_its_setup_can_break_down():

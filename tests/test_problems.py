@@ -243,7 +243,7 @@ def test_gen_sparse_random_single_row():
 def test_matrix_market_round_trip(tmp_path):
     inst = gen_sparse_random(25, 80, 50.0, 11)
     path = tmp_path / "rt.mtx"
-    write_matrix_market(inst.A, path, comment="round trip")
+    write_matrix_market(inst.A, path)
     back = read_matrix_market(path)
     assert back.shape == inst.A.shape
     assert np.array_equal(back.row_idx, inst.A.row_idx)

@@ -135,21 +135,6 @@ def test_spmv_transpose_with_empty_columns():
     assert np.allclose(spmv(A, [1.0, 1.0, 1.0, 1.0]), [2.0, 0.0, 5.0])
 
 
-@pytest.mark.parametrize("seed", [0, 4])
-def test_sparse_kernels_match_the_gather_formula_bit_for_bit(seed):
-    # the kernels multiply the gathered vector by the values in place; IEEE
-    # multiplication commutes, so the sums are the formula's to the last bit
-    A = gen_sparse_random(1000, 5000, 100.0, seed).A
-    assert A.dense_t is None
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, A.ncols) * 10.0 ** rng.integers(-8, 8, A.ncols)
-    c = rng.uniform(-1.0, 1.0, A.nrows) * 10.0 ** rng.integers(-8, 8, A.nrows)
-    expected = np.bincount(A.row_idx, A.values * x[A.entry_col], A.nrows)
-    assert spmv(A, x).tobytes() == expected.tobytes()
-    expected = np.bincount(A.entry_col, A.values * c[A.row_idx], A.ncols)
-    assert spmv_transpose(A, c).tobytes() == expected.tobytes()
-
-
 def test_column_sums_examples():
     assert np.allclose(identity(4).col_sums, np.ones(4))
     assert np.allclose(sparse_of([[1.0, 2.0], [3.0, 4.0]]).col_sums, [4.0, 6.0])
@@ -232,8 +217,6 @@ def test_col_ptr_invariants():
 
 
 def test_direct_construction_validates_invariants():
-    from nnasolve import SparseMatrix
-
     with pytest.raises(DimensionMismatch):
         SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 2.0])  # rows not increasing
     with pytest.raises(DimensionMismatch):
@@ -245,13 +228,34 @@ def test_direct_construction_validates_invariants():
 
 
 # ---------------------------------------------------------------------------
-# fully stored matrices: the BLAS path on the dense view of the values
+# one product formula for every matrix, however many entries it stores
 
-def _gather(A, x, transpose):
-    """The sparse kernels' gather + bincount formula, on any matrix."""
-    if transpose:
-        return np.bincount(A.entry_col, A.values * x[A.row_idx], A.ncols)
-    return np.bincount(A.row_idx, A.values * x[A.entry_col], A.nrows)
+def _assert_gather_formula(A, x, c):
+    """Both kernels give the gather + bincount formula to the last bit.
+
+    The kernels multiply the gathered vector by the values in place; IEEE
+    multiplication commutes, so the sums are the formula's bit for bit, NaN
+    and infinite inputs included.
+    """
+    expected = np.bincount(A.row_idx, A.values * x[A.entry_col], A.nrows)
+    assert spmv(A, x).tobytes() == expected.tobytes()
+    expected = np.bincount(A.entry_col, A.values * c[A.row_idx], A.ncols)
+    assert spmv_transpose(A, c).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", [0, 4, "c06", "c06-rescaled"])
+def test_sparse_kernels_match_the_gather_formula_bit_for_bit(case):
+    if isinstance(case, int):
+        A = gen_sparse_random(1000, 5000, 100.0, case).A
+        rng = np.random.default_rng(case)
+    else:
+        inst = gen_dense_uniform(10, 0)  # fully stored
+        A = rescale(inst.A, inst.b).a_tilde if case == "c06-rescaled" else inst.A
+        assert A.nnz == A.nrows * A.ncols
+        rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, A.ncols) * 10.0 ** rng.integers(-8, 8, A.ncols)
+    c = rng.uniform(-1.0, 1.0, A.nrows) * 10.0 ** rng.integers(-8, 8, A.nrows)
+    _assert_gather_formula(A, x, c)
 
 
 _MAGNITUDE = st.floats(-5.0, 5.0).map(lambda e: 10.0**e)
@@ -277,54 +281,11 @@ def full_products(draw):
 def test_full_storage_kernels_match_the_gather_formula(case):
     dense, x, c = case
     A = sparse_of(dense)
-    assert A.dense_t is not None
-    # numpy reports an inf - inf or an overflow inside a BLAS product as a
-    # warning, but not inside bincount's sum, so both run without them here
-    with np.errstate(invalid="ignore", over="ignore"):
-        pairs = [(spmv(A, x), _gather(A, x, False), x, False), (spmv_transpose(A, c), _gather(A, c, True), c, True)]
-    for got, want, v, transpose in pairs:
-        assert np.array_equal(np.isfinite(got), np.isfinite(want))
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        if np.all(np.isfinite(v)):
-            bound = np.abs(dense.T if transpose else dense) @ np.abs(v)
-            assert np.all(np.abs(got - want) <= 1e-13 * bound)
+    assert A.nnz == dense.size
+    _assert_gather_formula(A, x, c)
 
 
-def test_full_storage_view_shares_the_values():
-    dense = np.arange(1.0, 7.0).reshape(2, 3)
-    for A in (sparse_of(dense), SparseMatrix(2, 3, [0, 2, 4, 6], [0, 1, 0, 1, 0, 1], dense.T.ravel())):
-        assert np.shares_memory(A.dense_t, A.values)
-        assert np.array_equal(A.dense_t, dense.T)
-        T = A.transpose()
-        assert np.array_equal(T.dense_t, dense)
-        assert np.shares_memory(T.dense_t, T.values)
-    # the rescaled matrix shares A's index arrays and views its own values
-    A = sparse_of(dense)
+def test_rescale_shares_the_index_arrays():
+    A = sparse_of(np.arange(1.0, 7.0).reshape(2, 3))
     a_tilde = rescale(A, [1.0, 1.0]).a_tilde
     assert a_tilde.col_ptr is A.col_ptr and a_tilde.row_idx is A.row_idx
-    assert np.shares_memory(a_tilde.dense_t, a_tilde.values)
-
-
-def test_full_storage_view_needs_every_entry():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        m, n = rng.integers(1, 8, size=2)
-        dense = rng.uniform(1.0, 2.0, (m, n))
-        assert sparse_of(dense).dense_t is not None
-        dense[rng.integers(m), rng.integers(n)] = 0.0
-        A = sparse_of(dense)
-        assert A.dense_t is None
-        x, c = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
-        assert spmv(A, x).tobytes() == _gather(A, x, False).tobytes()
-        assert spmv_transpose(A, c).tobytes() == _gather(A, c, True).tobytes()
-    for m, n in ((0, 0), (0, 3), (3, 0)):
-        assert from_triplets(m, n, []).dense_t is None
-
-
-def test_dense_instances_take_the_blas_path():
-    inst = gen_dense_uniform(10, 0)
-    for A in (inst.A, rescale(inst.A, inst.b).a_tilde):
-        assert np.shares_memory(A.dense_t, A.values)
-        x = np.linspace(0.5, 1.5, 10)
-        assert spmv(A, x).tobytes() == x.dot(A.dense_t).tobytes()
-        assert spmv_transpose(A, x).tobytes() == A.dense_t.dot(x).tobytes()
