@@ -112,13 +112,14 @@ def general_solve(
     A nonnegative A is its own embedding (J = 0); any other gets one slack
     column per column with a negative entry.  The embedded system is solved
     by nna_solve's shift, rescale, loop (nna._run_loop) and auto-shift
-    retries, but with an Anderson window of 10 where nna_solve's is 0: each
-    iteration mixes the last 10 steps, and a safeguard takes the paper's
+    retries, but with an Anderson window of 20 where nna_solve's is 0: each
+    iteration mixes the last 20 steps, and a safeguard takes the paper's
     plain step wherever the mixed point is not positive or raises the
-    divergence above the largest of the last 5 iterates'.  An iteration
-    costs two products with P, plus one for each mixed point the divergence
-    test rejects (counted, with mixed points that are not positive, in the
-    report's rejections); stagnated_min_kl is certified as in nna_solve.
+    divergence above the largest of the last 5 iterates', and keeps the
+    steps it mixes.  An iteration costs two products with P, plus one for
+    each mixed point the divergence test rejects (counted, with mixed points
+    that are not positive, in the report's rejections); stagnated_min_kl is
+    certified as in nna_solve.
 
     With x0 given, the embedded start is (x0, -x0 restricted to the tied
     columns), which the automatic shift clears (see nna_solve); the default

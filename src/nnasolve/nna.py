@@ -65,7 +65,7 @@ _CERTIFICATE_DENSE_LIMIT = 200
 # general_solve's loop mixes the last _AA_WINDOW differences of iterates
 # (nna_solve's mixes none), and accepts a mixed point whose divergence is at
 # most the largest of the last _GLL_MEMORY accepted ones
-_AA_WINDOW = 10
+_AA_WINDOW = 20
 _GLL_MEMORY = 5
 # the mixing solve drops directions below this share of the scaled Gram
 # matrix's largest eigenvalue: three orders above the relative rounding of a
@@ -473,12 +473,13 @@ def _run_loop(A, b, shifted, x_start, cfg, eps, tie, window):
     scaled back onto the simplex.  The safeguard (Grippo, Lampariello &
     Lucidi 1986, SIAM J. Numer. Anal. 23:707) takes it as x_(n+1) when it
     is positive and its divergence is at most the largest of the last
-    _GLL_MEMORY accepted ones; otherwise x_(n+1) is the plain step, the
-    history is cleared, and rejections counts one.  The plain step needs no
-    test: G never raises the divergence.  The differences live in two
-    preallocated ring buffers, and the Gram matrix dF dF^T gains one row
-    and column an iteration, so mixing costs O(m w) and allocates no m x w
-    array.
+    _GLL_MEMORY accepted ones; otherwise x_(n+1) is the plain step and
+    rejections counts one.  A rejection keeps the history: the pairs stored
+    still hold, and the next one is finished from the plain step.  The
+    plain step needs no test: G never raises the divergence.  The
+    differences live in two preallocated ring buffers, and the Gram matrix
+    dF dF^T gains one row and column an iteration, so mixing costs O(m w)
+    and allocates no m x w array.
 
     Products: M x_0, then per iteration a_tilde^T (q / M x_n) and the M x of
     the next iterate, which for an accepted mixed point is the product its
@@ -512,7 +513,7 @@ def _run_loop(A, b, shifted, x_start, cfg, eps, tie, window):
     dg = np.empty((window, xt.size))
     df = np.empty((window, xt.size))
     gram = np.empty((window, window))  # dF dF^T over the finished rows
-    stored = 0  # pairs finished since the history was last cleared
+    stored = 0  # pairs finished so far
     b_n = spmv(a_tilde, xt)
     made = 1  # products with a_tilde
     kl = None  # the divergence of the iterate, where its test computed it
@@ -561,7 +562,6 @@ def _run_loop(A, b, shifted, x_start, cfg, eps, tie, window):
                         b_n, kl = b_mixed, kl_mixed
                 if b_n is None:
                     rejections += 1
-                    stored = 0
                 slot = stored % window
             np.negative(plain, out=dg[slot])
             np.negative(f, out=df[slot])

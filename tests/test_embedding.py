@@ -13,6 +13,7 @@ from nnasolve import (
     extract,
     from_arrays,
     from_triplets,
+    gen_dense_uniform,
     gen_sparse_random,
     general_solve,
     gmres_restarted,
@@ -229,7 +230,7 @@ def test_general_solve_residual_trace_is_original_system():
 
 # products general_solve makes on c07's seeds 0-9 (m = 1000, t = 0, target
 # 1e-6 ||b||); the plain update caps seeds 4, 5 and 7 at 20k iterations
-_C07_PRODUCTS = {0: 68, 1: 170, 2: 186, 3: 146, 4: 624, 5: 278, 6: 198, 7: 254, 8: 312, 9: 106}
+_C07_PRODUCTS = {0: 68, 1: 138, 2: 162, 3: 124, 4: 315, 5: 232, 6: 150, 7: 194, 8: 174, 9: 102}
 
 
 def test_general_solve_on_c07_takes_fewer_products_than_gmres():
@@ -245,7 +246,29 @@ def test_general_solve_on_c07_takes_fewer_products_than_gmres():
     total = sum(products.values())
     print(f"c07 products: general_solve {total} {products}, GMRES(20) {gmres}")
     assert products == _C07_PRODUCTS
-    assert total == 2342 < gmres == 2621
+    assert total == 1659 < gmres == 2621
+
+
+def test_general_solve_window_holds_on_its_held_out_instances():
+    # the Anderson window of 20, with the history kept across rejections, was
+    # chosen on these instances, not on c06, c07's seeds 0-9 or the
+    # benchmark's: c07 seeds 10-29 (m = 1000), dense m = 10 seeds 1-10 at
+    # t = 10 to 1e-8, and the c07 recipe at m = 1e4, seeds 0-2.  A window of
+    # 10 that cleared the history took 2,588 / 1,196 / 1,322 products, and
+    # 30 with it kept 2,117 / 747 / 1,084; a change to the loop that moves
+    # these totals re-opens the choice
+    def products(inst, **cfg):
+        report = general_solve(inst.A, inst.b, cfg=SolverConfig(max_iter=20_000, **cfg))
+        assert report.status is SolveStatus.CONVERGED
+        return report.matvec_count
+
+    def c07(m, seed):
+        inst = gen_sparse_random(m, 5 * m, 100.0, seed)
+        return products(inst, eps_tol=1e-6 * float(np.linalg.norm(inst.b)), t_shift=0.0)
+
+    assert sum(c07(1000, seed) for seed in range(10, 30)) == 2140
+    assert sum(products(gen_dense_uniform(10, seed), eps_tol=1e-8, t_shift=10.0) for seed in range(1, 11)) == 686
+    assert sum(c07(10_000, seed) for seed in range(3)) == 1066
 
 
 def test_general_solve_reaches_c04_minimal_divergence():

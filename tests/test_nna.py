@@ -563,6 +563,30 @@ def test_solve_memory_per_iterate_is_the_two_traces():
     assert peak <= 24 * report.iterations + 64 * 1024
 
 
+def test_accelerated_memory_is_the_two_rings():
+    # general_solve's loop holds two (w, n) ring buffers of differences,
+    # 16 w n bytes.  The rest is the rescaled matrix's values (8 nnz) and
+    # k = 20 vectors of length n: k, measured at 19.2 at w = 10 and w = 20
+    # alike, counts the loop's own vectors and a product's nnz-long
+    # temporaries (nnz = 6 n here).  A third (w, n) array would exceed the
+    # bound; test_accelerated_window_and_memory_are_fixed pins w itself.
+    inst = gen_sparse_random(5000, 25_000, 100.0, 0)
+    A, w, k = inst.A, _AA_WINDOW, 20
+    target = 1e-6 * float(np.linalg.norm(inst.b))
+    general_solve(A, inst.b, cfg=SolverConfig(eps_tol=target, t_shift=0.0, max_iter=3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = general_solve(A, inst.b, cfg=SolverConfig(eps_tol=target, t_shift=0.0, max_iter=20_000))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.status is SolveStatus.CONVERGED
+    assert A.values.min() >= 0.0 and A.ncols == 5000
+    assert peak <= 16 * w * A.ncols + 8 * (A.nnz + k * A.ncols) + 64 * 1024
+
+
 def test_solve_path_imports_no_scipy():
     # importing scipy.sparse costs ~21 MB of resident memory; the solvers and the
     # baselines (least squares included) use numpy only
@@ -829,7 +853,36 @@ def test_solve_property_divergence_never_rises(system, max_iter):
 
 
 def test_accelerated_window_and_memory_are_fixed():
-    assert (_AA_WINDOW, _GLL_MEMORY) == (10, 5)
+    assert (_AA_WINDOW, _GLL_MEMORY) == (20, 5)
+
+
+def test_accelerated_rejection_keeps_the_history():
+    # a rejected mixed point is replaced by the plain step, and the pairs
+    # already stored stay: the k-th mixing solve (iteration k) weighs
+    # min(k, _AA_WINDOW) of them, so the one after a rejection gets a Gram
+    # matrix larger than 1 x 1 (with the history cleared it got 1 x 1)
+    inst = gen_dense_uniform(10, 0)
+    cfg = SolverConfig(eps_tol=1e-8, t_shift=10.0, max_iter=100_000)
+    sizes = []
+    mixing_weights = nnasolve.nna._mixing_weights
+
+    def recorded(gram, rhs):
+        sizes.append(gram.shape[0])
+        return mixing_weights(gram, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nnasolve.nna, "_mixing_weights", recorded)
+        report = general_solve(inst.A, inst.b, cfg=cfg)
+    assert report.status is SolveStatus.CONVERGED
+    assert sizes == [min(k, _AA_WINDOW) for k in range(1, report.iterations)]
+    # a run capped at n iterations counts the rejections of iterations 1 to
+    # n - 1, so iteration n rejected where the count rises from cap n to
+    # n + 1; sizes[n] is the Gram matrix of iteration n + 1
+    caps = range(report.iterations + 1)
+    counts = [general_solve(inst.A, inst.b, cfg=replace(cfg, max_iter=n)).rejections for n in caps]
+    rejected = [n for n in range(1, report.iterations) if counts[n + 1] > counts[n]]
+    assert len(rejected) == report.rejections == 8
+    assert all(sizes[n] > 1 for n in rejected if n + 1 < report.iterations)
 
 
 @settings(max_examples=100, deadline=None)
@@ -987,12 +1040,12 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
     # general_solve runs the accelerated loop: two products with P an
     # iteration, one more per mixed point the safeguard rejects, and the one
     # confirmation of convergence
-    assert n == 25 and report.rejections == 0
+    assert n == 18 and report.rejections == 0
     assert report.matvec_count == 2 * n + 2 + report.rejections
     # the counted products with P, shift's row sum, and one uncounted tie-block
     # product per tracked residual (n + 1) and per recomputed residual (1)
     assert calls.count("spmv_transpose") == n
-    assert len(calls) == report.matvec_count + 1 + (n + 2) == 80
+    assert len(calls) == report.matvec_count + 1 + (n + 2) == 59
 
 
 @pytest.mark.parametrize(
