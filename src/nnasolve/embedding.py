@@ -111,24 +111,24 @@ def general_solve(
 
     A nonnegative A is its own embedding (J = 0); any other gets one slack
     column per column with a negative entry.  The embedded system is solved
-    by nna_solve's shift, rescale, loop (nna._run_loop) and auto-shift
-    retries, but with an Anderson window of 20 where nna_solve's is 0: each
-    iteration mixes the last 20 steps, and a safeguard takes the paper's
-    plain step wherever the mixed point is not positive or raises the
-    divergence above the largest of the last 5 iterates', and keeps the
-    steps it mixes.  An iteration costs two products with P, plus one for
-    each mixed point the divergence test rejects (counted, with mixed points
-    that are not positive, in the report's rejections); stagnated_min_kl is
-    certified as in nna_solve.
+    by nna_solve's shift, loop in residual form (nna._run_loop) and
+    auto-shift retries, but with an Anderson window of 20 where nna_solve's
+    is 0: each iteration mixes the last 20 steps, and a safeguard takes the
+    paper's plain step wherever the mixed point has y + t not positive or
+    raises the divergence above the largest of the last 5 iterates', and
+    keeps the steps it mixes.  An iteration costs two products with P, plus
+    one for each mixed point the divergence test rejects (counted, with
+    mixed points that are not positive, in the report's rejections);
+    stagnated_min_kl is certified as in nna_solve.
 
     With x0 given, the embedded start is (x0, -x0 restricted to the tied
     columns), which the automatic shift clears (see nna_solve); the default
     start is all ones, which is already positive.  The
     report's residual trace and stopping test use the original system
-    ||A x_n - b||_2, not the embedded one: each iteration maps the embedded
-    residual it already holds through the tie block, which matches the
-    original residual up to rounding, and convergence is confirmed, like
-    nna_solve's, by recomputing the residual of the returned x.
+    ||A x_n - b||_2, not the embedded one: each iteration maps the exact
+    residual c - P y_n of its iterate, from the product P y_n it makes
+    anyway, through the tie block, which matches the residual of the
+    returned x up to the rounding of that map.  No residual is recomputed.
     """
     emb = embed(A, b)
     if x0 is None:

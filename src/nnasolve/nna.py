@@ -10,7 +10,8 @@ update
 in rescaled coordinates, where M is column-stochastic and q is the rescaled
 right-hand side.  Each step costs at most 4 * (nnz + m) flops, preserves
 positivity and the simplex, and drives D(q, M x_n) monotonically down to its
-infimum; on solvable systems the residual converges to zero.
+infimum; on solvable systems the residual converges to zero.  The solve loop
+runs it in residual form, free of the shift's rounding (_run_loop).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -119,15 +121,16 @@ class SolveReport:
     is recomputed as b - A x once it reaches the gate or the run would end
     on it, and the run converges only on a recomputed value within eps, so
     the last residual_trace entry is the residual of the returned x (for
-    general_solve, mapped through the tie block).  matvec_count counts every
-    product with the iteration matrix (P for an embedded system), each
-    recomputation included, summed over every auto-shift attempt; from a
-    zero start no baseline makes one for the first residual, b.  Not counted
-    are shift's row sums A 1, one per nna_solve or general_solve call, and
-    general_solve's products with the tie block (A's negative entries only,
-    13.7% of nnz(P) on the benchmark's mixed-mtx instance), which map each
-    tracked and recomputed residual to the original system.  t_shift is the
-    positivity shift of the kept attempt and
+    general_solve, mapped through the tie block); nna_solve's and
+    general_solve's entries are all exact, and none is carried.
+    matvec_count counts every product with the iteration matrix (P for an
+    embedded system), each recomputation included, summed over every
+    auto-shift attempt; from a zero start no baseline makes one for the
+    first residual, b.  Not counted are shift's row sums A 1, one per
+    nna_solve or general_solve call, and general_solve's products with the
+    tie block (A's negative entries only, 13.7% of nnz(P) on the benchmark's
+    mixed-mtx instance), which map each traced residual to the original
+    system.  t_shift is the positivity shift of the kept attempt and
     attempts the number of shifts tried (1 + auto-shift retries); solvers
     that do not shift leave them None and 0.  rejections counts the mixed
     points general_solve's safeguard replaced by the plain step in the kept
@@ -153,12 +156,19 @@ class NonnegativeSystem:
 
     col_scale holds the original column sums and b_total the sum of b, the
     data needed to map simplex coordinates back: x_j = x_tilde_j * b_total / col_scale_j.
+    a_tilde = A diag(1 / col_scale) is built on first use.
     """
 
-    a_tilde: SparseMatrix
+    A: SparseMatrix
     b_tilde: np.ndarray
     col_scale: np.ndarray
     b_total: float
+
+    @cached_property
+    def a_tilde(self) -> SparseMatrix:
+        A = self.A  # immutable, so the rescaled matrix shares its index arrays
+        values = A.values / self.col_scale[A.entry_col]
+        return SparseMatrix._trusted(A.nrows, A.ncols, A.col_ptr, A.row_idx, values, A.entry_col)
 
     def recover(self, x_tilde: np.ndarray) -> np.ndarray:
         return x_tilde * (self.b_total / self.col_scale)
@@ -226,8 +236,7 @@ class _ResidualGate:
 
     values holds one residual norm per iterate.  Without recompute every
     entry is exact; with it, an entry add() appends is carried and drifts
-    from ||b - A x|| by rounding (a caller that appends to values itself
-    sets carried).  status() confirms a carried last entry
+    from ||b - A x|| by rounding.  status() confirms a carried last entry
     that reaches the gate (eps at first), is not finite or ends the run: it
     becomes the norm of recompute(x) = b - A x, one product counted in
     recomputes, and residual becomes that vector.  A failed confirmation of
@@ -235,7 +244,7 @@ class _ResidualGate:
     unless the entry is 0: that ratio says nothing about drift, and a gate
     of 0 would confirm no later entry above 0.
     On a confirmed entry, not finite is BREAKDOWN, within eps CONVERGED,
-    then the caller's stop, then max_iter MAX_ITERATIONS; so every exit
+    then max_iter MAX_ITERATIONS; so every exit
     through status() or confirm() ends on the residual of the returned x.
     """
 
@@ -266,10 +275,9 @@ class _ResidualGate:
             if 0.0 < carried <= self.gate and exact > self.eps:
                 self.gate = carried * self.eps / exact
 
-    def status(self, x, n: int, max_iter: int, stop: SolveStatus | None = None) -> SolveStatus | None:
-        """Status the run ends with at x after n iterations, or None to go on;
-        stop is one the caller's own test gives here (nna's certificate)."""
-        ending = stop is not None or n >= max_iter
+    def status(self, x, n: int, max_iter: int) -> SolveStatus | None:
+        """Status the run ends with at x after n iterations, or None to go on."""
+        ending = n >= max_iter
         last = self.values[-1]
         if self.carried and (last <= self.gate or ending or not math.isfinite(last)):
             self.confirm(x)
@@ -281,7 +289,7 @@ class _ResidualGate:
         if last <= self.eps:
             return SolveStatus.CONVERGED
         if ending:
-            return SolveStatus.MAX_ITERATIONS if stop is None else stop
+            return SolveStatus.MAX_ITERATIONS
         return None
 
 
@@ -301,14 +309,10 @@ def rescale(A: SparseMatrix, b) -> NonnegativeSystem:
     nonpos = np.flatnonzero(b <= 0.0)
     if nonpos.size:
         raise NonPositiveRhs(int(nonpos[0]))
-    # A is immutable, so the rescaled matrix shares its index arrays
-    a_tilde = SparseMatrix._trusted(
-        A.nrows, A.ncols, A.col_ptr, A.row_idx, A.values / s[A.entry_col], A.entry_col
-    )
     b_total = float(b.sum())
     if not math.isfinite(b_total):
         raise NonFiniteValue("b sums to infinity; its rescaled entries would vanish")
-    return NonnegativeSystem(a_tilde, b / b_total, s.copy(), b_total)
+    return NonnegativeSystem(A, b / b_total, s.copy(), b_total)
 
 
 def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
@@ -423,12 +427,10 @@ def _breakdown(exc: Exception, ncols: int, started: int) -> SolveReport:
     )
 
 
-def _divergence(q: np.ndarray, b_n: np.ndarray) -> float:
-    """D(q, b_n) = sum q (delta - log1p delta) with delta = b_n / q - 1, which is
-    sum q log(q / b_n) where b_n sums to 1: every term is nonnegative, and
-    near a solution the terms keep their digits."""
-    delta = b_n / q - 1.0
-    return float(q @ (delta - np.log1p(delta)))
+def _divergence(w: np.ndarray, r: np.ndarray) -> float:
+    """D(w, w - r) = sum w (delta - log1p delta) with delta = -r / w."""
+    delta = np.divide(r, w)
+    return float(w @ np.subtract(np.negative(delta, out=delta), np.log1p(delta), out=delta))
 
 
 def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -444,146 +446,151 @@ def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y / scale
 
 
-# a zero or non-finite M x_tilde shows as a non-finite divergence, not as warnings
+# a zero or non-finite A x shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _run_loop(A, b, shifted, x_start, cfg, eps, tie, window):
+def _run_loop(A, b, t, row_sums, x_start, cfg, eps, tie, window):
     """Iterate from a fixed shift; returns a report without elapsed time filled in.
 
-    The loop tracks r = b_total * (M x_tilde - q), which is A x - b in exact
-    arithmetic.  For an embedded system (A = P, b = c, tie the m1 x J top
-    block of P's slack columns) the residual of the original system is
-    r[:m1] - tie r[m1:], and that is what is tracked; tie is None otherwise.
-    Neither is the residual of the returned x = recover(x_tilde) - t: the
-    subtraction of a large t cancels digits.  So every tracked residual is a
-    carried entry of the run's _ResidualGate, whose recompute is the
-    residual of the returned x from A and b: the run stops, and converges,
-    as that gate decides, like every baseline.
+    The paper's update x_tilde <- x_tilde * M^T (q / M x_tilde), for
+    x_tilde = (x + t) s / B, M = A diag(1 / s), q = b_t / B, b_t = b + t A1
+    (A1 = row_sums, s the column sums, B the total of b_t), runs in x with A:
 
-    Each iterate x_n (on the simplex from iterate 1 on) forms
-    g = a_tilde^T (q / M x_n) and the plain step G(x_n) = x_n * g, the
-    paper's update.  With window 0 (nna_solve) the plain step is x_(n+1).
-    With window w > 0 (general_solve), Anderson mixing (Walker & Ni 2011,
-    SIAM J. Numer. Anal. 49:1715; for EM, Henderson & Varadhan 2019,
-    J. Comput. Graph. Stat. 28:834) over the last w differences dG of plain
-    steps and dF of residuals f_n = G(x_n) - x_n (dG = dx + dF, dx the
-    differences of iterates) proposes
+        x <- x + (x + t) g1,   g1 = A^T (r / A (x + t)) / s,   r = b - A x,
 
-        x = G(x_n) - dG^T gamma,   gamma = argmin ||f_n - dF^T gamma||,
+    the same in exact arithmetic as M^T 1 = 1.  The product A x of each
+    iterate gives its exact residual r, which the gate traces and never
+    recomputes (mapped through tie, the m1 x J top block of an embedded
+    P's slack columns, to r[:m1] - tie r[m1:]), and A (x + t) = A x + t A1.
+    Where g1_j < -1/2, 1 + g1_j has lost its digits: the step takes
+    (x_j + t) g_j - t there, with the paper's g = A^T (b_t / A (x + t)) / s.
 
-    scaled back onto the simplex.  The safeguard (Grippo, Lampariello &
-    Lucidi 1986, SIAM J. Numer. Anal. 23:707) takes it as x_(n+1) when it
-    is positive and its divergence is at most the largest of the last
-    _GLL_MEMORY accepted ones; otherwise x_(n+1) is the plain step and
-    rejections counts one.  A rejection keeps the history: the pairs stored
-    still hold, and the next one is finished from the plain step.  The
-    plain step needs no test: G never raises the divergence.  The
-    differences live in two preallocated ring buffers, and the Gram matrix
-    dF dF^T gains one row and column an iteration, so mixing costs O(m w)
-    and allocates no m x w array.
+    With window 0 (nna_solve) x_(n+1) is the plain step
+    G(x_n) = x_n + (x_n + t) g1.  With window w > 0 (general_solve),
+    Anderson mixing (Walker & Ni 2011, SIAM J. Numer. Anal. 49:1715; for EM,
+    Henderson & Varadhan 2019, J. Comput. Graph. Stat. 28:834) over the last
+    w differences dG of plain steps and dF of f_n = (G(x_n) - x_n) s (B times
+    the step in x_tilde) proposes G(x_n) - dG^T gamma, gamma = argmin
+    ||f_n - dF^T gamma||, scaled back onto s^T (x + t) = B.  The safeguard
+    (Grippo, Lampariello & Lucidi 1986, SIAM J. Numer. Anal. 23:707) takes
+    it when x + t > 0 and its divergence is at most the largest of the last
+    _GLL_MEMORY accepted ones; else the plain step, which never raises the
+    divergence, and rejections counts one (the history stays).
 
-    Products: M x_0, then per iteration a_tilde^T (q / M x_n) and the M x of
-    the next iterate, which for an accepted mixed point is the product its
-    divergence test made.  A mixed point that test rejects costs one
-    product more; one with an entry <= 0 is rejected before any product.
-    matvec_count adds the gate's recomputations.
-
-    Certificate (Csiszar & Tusnady 1984): for x on the simplex g . x = 1, so
-    by convexity gap = max_j g_j - 1 >= D(x_n) - D*, read at every iterate
-    n >= 1 from the g it forms.  gap <= _CERTIFICATE_TOL * D(x_n) gives
-    D* > 0 (no solution) and D(x_n) - D* <= gap, and the run stops as
-    stagnated_min_kl; on a consistent system D* = 0, so D <= gap and the
-    rule cannot fire, and the 2^-52 floor keeps a rounded fixed point out.
-    kl_trace holds D at every iterate, iterate 0 scaled onto the simplex.
+    Products: A x_0, then per iteration A^T of the ratio and the next
+    iterate's A x, which for an accepted mixed point its divergence test
+    made; one more per mixed point that test rejects (one with x + t <= 0
+    costs none) and per paper's g.  D(q, M x_tilde) = sum q (delta - log1p
+    delta), delta = -r / b_t, is traced at every iterate, iterate 0's at the
+    start scaled onto the simplex.  Certificate (Csiszar & Tusnady 1984): by
+    convexity D(x_n) - D* <= max_j g1_j - 1^T r / B = gap, read at every
+    n >= 1; gap <= _CERTIFICATE_TOL * D(x_n) gives D* > 0 (no solution), and
+    the run stops as stagnated_min_kl.  On a consistent system D <= gap, so
+    the rule cannot fire once gap is floored at its rounding from r's,
+    2^-52 max_i (|b_i| + |(A x)_i|) / (A (x + t))_i.
     """
-    t = shifted.t
-    system = rescale(A, shifted.b_shifted)
-    q, a_tilde, b_total = system.b_tilde, system.a_tilde, system.b_total
-    # iterate 0 is the shifted start exactly as given (_solve keeps it
-    # positive); the first update lands on the probability simplex
-    xt = (x_start + t) * system.col_scale / b_total
+    t_rows = t * row_sums
+    b_t = b + t_rows
+    # rescale's typed checks and B; none of its vectors
+    s, b_total = A.col_sums, rescale(A, b_t).b_total
+    b_sum = float(b.sum())
 
     def original(r):
         return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
 
-    gate = _ResidualGate(eps, lambda x_tilde: original(spmv(A, system.recover(x_tilde) - t) - b))
-    kl_trace = array("d")
-    # ring buffers: row i holds a finished pair (dG, dF) for i < min(stored,
-    # window) other than row stored % window, which holds (-G, -f) of the
-    # last iterate until the next one finishes it
-    dg = np.empty((window, xt.size))
-    df = np.empty((window, xt.size))
-    gram = np.empty((window, window))  # dF dF^T over the finished rows
-    stored = 0  # pairs finished so far
-    b_n = spmv(a_tilde, xt)
-    made = 1  # products with a_tilde
+    def residual(x):
+        nonlocal made
+        made += 1
+        ax = spmv(A, x)
+        return b - ax, np.add(ax, t_rows, out=ax)  # then A x becomes A (x + t)
+
+    gate, kl_trace = _ResidualGate(eps), array("d")
+    # ring buffers: row i < min(stored, window) holds a pair (dG, dF), the
+    # latest in row (stored - 1) % window; G and f of the last iterate wait
+    # in g_last and f_last until the next one finishes their pair
+    dg = np.empty((window, s.size))
+    df = np.empty((window, s.size))
+    gram = np.empty((window, window))  # dF dF^T over the stored rows
+    stored = 0  # pairs stored so far
+    # iterate 0 is the start exactly as given (_solve keeps x + t positive)
+    x = x_start.copy()
+    made = 0  # products with A
+    r, den = residual(x)
     kl = None  # the divergence of the iterate, where its test computed it
     rejections = n = 0
     while True:
-        gate.values.append(b_total * _norm(original(b_n - q)))
-        gate.carried = True
+        gate.values.append(_norm(original(r)))  # exact: the gate keeps no vector
         if kl is None:
-            kl = _divergence(q, b_n if n else b_n / b_n.sum())
+            # iterate 0's at the start scaled onto the simplex
+            kl = _divergence(b_t, r if n else b_t - den * (b_total / den.sum())) / b_total
             if not math.isfinite(kl):
-                # as q > 0, any zero, negative or non-finite (M x_tilde)_i makes
+                # as b_t > 0, any zero, negative or non-finite A (x + t) makes
                 # the divergence non-finite; the typed checks name the defect
-                _ratio(q, b_n)
-                kl = metrics.kl_divergence(q, b_n)
+                _ratio(b_t, den)
+                kl = metrics.kl_divergence(b_t, den) / b_total
         kl_trace.append(kl)
-        status = gate.status(xt, n, cfg.max_iter)
+        status = gate.status(x, n, cfg.max_iter)
         if status is not None:
             break
-        plain = spmv_transpose(a_tilde, q / b_n)
+        g1 = spmv_transpose(A, r / den)
         made += 1
-        # iterate 0 is off the simplex, where g . x = 1 fails
-        gap = max(float(plain.max()) - 1.0, 2.0**-52)
+        g1 /= s
+        gap = float(g1.max()) - float(r.sum()) / b_total
+        # iterate 0 is off the simplex, where the rule's D is not the one bounded
         if n and gap <= _CERTIFICATE_TOL * kl:
-            status = gate.status(xt, n, cfg.max_iter, SolveStatus.STAGNATED_MIN_KL)
-            break
-        plain *= xt
-        b_n = kl = None
+            gap = max(gap, 2.0**-52 * float(((np.abs(b) + np.abs(b - r)) / den).max()))
+            if gap <= _CERTIFICATE_TOL * kl:
+                status = SolveStatus.STAGNATED_MIN_KL
+                break
+        low = g1 < -0.5 if g1.min() < -0.5 else None
+        step = np.multiply(x + t, g1, out=g1)
+        plain = x + step
+        if low is not None:
+            g = spmv_transpose(A, b_t / den)
+            made += 1
+            plain[low] = (x[low] + t) * (g[low] / s[low]) - t
+            step[low] = plain[low] - x[low]
+        r = den = None
         if window:
-            # G(c x) = G(x), so iterate 0 enters the history scaled onto the simplex
-            f = plain - (xt if n else xt / xt.sum())
-            slot = stored % window
+            # G(c x_tilde) = G(x_tilde): iterate 0 enters scaled onto the simplex
+            f = step if n else step + (x + t) * (1.0 - b_total / (s @ (x + t)))
+            f *= s
             if n:
-                dg[slot] += plain
-                df[slot] += f
+                slot = stored % window
+                np.subtract(plain, g_last, out=dg[slot])
+                np.subtract(f, f_last, out=df[slot])
                 stored += 1
                 w = min(stored, window)
                 gram[slot, :w] = gram[:w, slot] = df[:w] @ df[slot]
                 mixed = _mixing_weights(gram[:w, :w], df[:w] @ f) @ dg[:w]
                 np.subtract(plain, mixed, out=mixed)
-                if mixed.min() > 0.0:
-                    mixed /= mixed.sum()
-                    b_mixed = spmv(a_tilde, mixed)
-                    made += 1
-                    kl_mixed = _divergence(q, b_mixed)
+                if mixed.min() > -t:
+                    # s^T (x + t) = B in exact arithmetic; the defect, from s^T x, holds no t
+                    sx = s @ mixed
+                    mixed *= b_total / (b_total - b_sum + sx)
+                    mixed += t * (b_sum - sx) / (b_total - b_sum + sx)
+                    r_mixed, den_mixed = residual(mixed)
+                    kl_mixed = _divergence(b_t, r_mixed) / b_total
                     if kl_mixed <= max(kl_trace[-_GLL_MEMORY:]):
-                        b_n, kl = b_mixed, kl_mixed
-                if b_n is None:
-                    rejections += 1
-                slot = stored % window
-            np.negative(plain, out=dg[slot])
-            np.negative(f, out=df[slot])
+                        r, den, kl = r_mixed, den_mixed, kl_mixed
+                rejections += r is None
+            g_last, f_last = plain, f
         n += 1
-        if b_n is None:
-            xt = plain
-            b_n = spmv(a_tilde, xt)
-            made += 1
+        if r is None:
+            x, kl = plain, None
+            r, den = residual(x)
         else:
-            xt = mixed
+            x = mixed
 
-    diagnostic = None
-    if status is SolveStatus.STAGNATED_MIN_KL:
-        diagnostic = f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
+    stagnated = status is SolveStatus.STAGNATED_MIN_KL
+    diagnostic = f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}" if stagnated else None
     return SolveReport(
         status=status,
         iterations=n,
-        x=system.recover(xt) - t,
+        x=x,
         residual_trace=np.frombuffer(gate.values),
         kl_trace=np.frombuffer(kl_trace),
         elapsed_ns=0,
-        matvec_count=made + gate.recomputes,
+        matvec_count=made,
         diagnostic=diagnostic,
         t_shift=t,
         rejections=rejections,
@@ -593,31 +600,30 @@ def _run_loop(A, b, shifted, x_start, cfg, eps, tie, window):
 def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve A x = b for nonnegative A by shift, rescale and multiplicative iteration.
 
-    b may have any sign (the shift is applied internally); the returned x is
-    un-shifted.  Terminates when ||A x_n - b||_2 <= eps_tol (converged), at
-    max_iter, or as stagnated_min_kl once the EM duality gap certifies that
-    the system has no solution and x_n is within 1e-4 D of the minimal
-    divergence D*; the diagnostic gives D and the gap.  The automatic shift
-    is raised to -2 min(x0) (to 1 if min(x0) = 0) when it would leave an
-    entry of x0 + t*1 at or below 0; an explicit t that does raises
-    NegativeInput.  When the
-    automatic shift is positive and the run stagnates, the shift is doubled
-    and the solve retried a bounded number of times, keeping the best
-    attempt; its matvec_count sums the products of every attempt.  Explicit
-    t runs, and unshifted runs (b > 0 and x0 > 0), are never retried.  The
-    shapes and values of A, b and x0 are checked first, and their defects
-    raise.  Setup defects found after that (zero column, unshiftable row,
-    zero row with positive b, an automatic shift that cannot stay finite)
-    and values that overflow during the run come back as a BREAKDOWN report
-    carrying a diagnostic instead of an exception.
+    b may have any sign (the shift is applied internally; the loop iterates
+    the un-shifted x, and traces b - A x_n exactly).  Terminates when ||A
+    x_n - b||_2 <= eps_tol (converged), at max_iter, or as stagnated_min_kl
+    once the EM duality gap certifies that the system has no solution and
+    x_n is within 1e-4 D of the minimal divergence D*; the diagnostic gives
+    D and the gap.  The automatic shift is raised to -2 min(x0) (to 1 if
+    min(x0) = 0) when it would leave an entry of x0 + t*1 at or below 0; an
+    explicit t that does raises NegativeInput.  When the automatic shift is
+    positive and the run stagnates, the shift is doubled and the solve
+    retried a bounded number of times, keeping the best attempt; its
+    matvec_count sums the products of every attempt.  Explicit t runs, and
+    unshifted runs (b > 0 and x0 > 0), are never retried.  The shapes and
+    values of A, b and x0 are checked first, and their defects raise.  Setup
+    defects found after that (zero column, unshiftable row, zero row with
+    positive b, an automatic shift that cannot stay finite) and values that
+    overflow during the run come back as a BREAKDOWN report carrying a
+    diagnostic instead of an exception.
     """
     return _solve(A, b, x0, cfg, None, 0)
 
 
 def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
-    """nna_solve on A through _run_loop with the given Anderson window (0 for
-    the plain update), with residuals mapped through the tie block when it
-    is not None."""
+    """nna_solve on A through _run_loop with the given Anderson window (0 for the
+    plain update), residuals mapped through the tie block when not None."""
     started = time.perf_counter_ns()
     b_arr, x_start, cfg, eps = _setup(A, b, x0, cfg, np.ones, square=False)
     try:
@@ -625,38 +631,30 @@ def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
     except (NonFiniteValue, ZeroColumn, UnshiftableRow) as exc:
         return _breakdown(exc, A.ncols, started)
     auto = cfg.t_shift is None
+    t, row_sums, shifted = shifted.t, shifted.a_row_sums, None  # the loop forms b + t A1
     low = float(x_start.min(initial=math.inf))
-    if low + shifted.t <= 0.0:
+    if low + t <= 0.0:
         if not auto:
             # general_solve starts each slack at -x0_j, so only a larger t helps there
             raise NegativeInput(f"x0 + t*1 must be positive: raise t above {-low:g}")
         # twice the start's deficit; a zero entry at t = 0 has none, and any
         # t > 0 clears it; retries double from there
-        t_start = -2.0 * low if low < 0.0 else 1.0
-        shifted = ShiftedSystem(t_start, b_arr + t_start * shifted.a_row_sums, shifted.a_row_sums)
+        t = -2.0 * low if low < 0.0 else 1.0
 
-    best = None
-    matvecs = 0
-    attempt = 0
+    best, matvecs, attempt = None, 0, 0
     while True:
         try:
-            report = _run_loop(A, b_arr, shifted, x_start, cfg, eps, tie, window)
+            report = _run_loop(A, b_arr, t, row_sums, x_start, cfg, eps, tie, window)
         except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
             return _breakdown(exc, A.ncols, started)
         matvecs += report.matvec_count
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
             best = report
-        retry = (
-            auto
-            and shifted.t > 0.0
-            and report.status is SolveStatus.STAGNATED_MIN_KL
-            and attempt < _MAX_AUTO_RETRIES
-        )
-        if not retry:
+        stagnated = report.status is SolveStatus.STAGNATED_MIN_KL
+        if not (auto and t > 0.0 and stagnated and attempt < _MAX_AUTO_RETRIES):
             break
         attempt += 1
-        t_next = 2.0 * shifted.t
-        shifted = ShiftedSystem(t_next, b_arr + t_next * shifted.a_row_sums, shifted.a_row_sums)
+        t *= 2.0
     return replace(
         best, elapsed_ns=time.perf_counter_ns() - started, matvec_count=matvecs, attempts=attempt + 1
     )

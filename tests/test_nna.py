@@ -365,55 +365,51 @@ def test_solve_nonfinite_mid_iteration_is_breakdown():
 
 
 def reference_solve(A, b, cfg):
-    """The solve loop's stopping rules around the plain kernels nna_step and kl_divergence.
+    """The solve loop's stopping rules around the residual-form step in plain kernels.
 
     Returns (status, iterations, residual_trace, kl_trace, products, x) for an
-    explicit shift.  products counts what the loop counts: one product per
-    iterate, one per update (nna_step recomputes M x, which the loop reuses
-    from the iterate's row), the update the certificate reads its gap from
-    when it stops the run, and one per recomputed residual.
+    explicit shift.  The step is x <- x + (x + t) g1 with
+    g1 = A^T (r / A (x + t)) / s, r = b - A x and A (x + t) = A x + t A1,
+    and (x + t) g - t with the paper's g = A^T (b_t / A (x + t)) / s where
+    g1 < -1/2.  products counts
+    what the loop counts: one product A x per iterate, one per update, and
+    one per paper's g; every traced residual is exact, so none is recomputed.
     """
     t = cfg.t_shift
-    system = rescale(A, shift(A, b, t).b_shifted)
-    q = system.b_tilde
-    xt = (np.ones(A.ncols) + t) * system.col_scale / system.b_total
-
-    def exact_residual(x_tilde):
-        return float(np.linalg.norm(spmv(A, system.recover(x_tilde) - t) - b))
-
-    res, kls = [], []
-    gate, n, products = cfg.eps_tol, 0, 0
+    shifted = shift(A, b, t)
+    b_t, s = shifted.b_shifted, A.col_sums
+    b_total = float(b_t.sum())
+    q = b_t / b_total
+    x = np.ones(A.ncols)
+    res, kls, n, products = [], [], 0, 0
     while True:
-        b_n = spmv(system.a_tilde, xt)
+        ax = spmv(A, x)
         products += 1
-        tracked = system.b_total * float(np.linalg.norm(b_n - q))
-        res.append(tracked)
-        kl = kl_divergence(q, b_n)
+        r, den = b - ax, ax + t * shifted.a_row_sums
+        res.append(_norm(r))
+        kl = kl_divergence(q, den / b_total)
         if n == 0:  # iterate 0's entry is taken at the start scaled onto the simplex
-            kl += math.log(b_n.sum())
+            kl += math.log(den.sum() / b_total)
         kls.append(kl)
-        if tracked <= gate:
-            exact = res[-1] = exact_residual(xt)
-            products += 1
-            if exact <= cfg.eps_tol:
-                return SolveStatus.CONVERGED, n, res, kls, products, system.recover(xt) - t
-            gate = tracked * cfg.eps_tol / exact
+        if res[-1] <= cfg.eps_tol:
+            return SolveStatus.CONVERGED, n, res, kls, products, x
         if n >= cfg.max_iter:
-            status = SolveStatus.MAX_ITERATIONS
-            break
-        x_next = nna_step(system, xt)
+            return SolveStatus.MAX_ITERATIONS, n, res, kls, products, x
+        g1 = spmv_transpose(A, r / den) / s
         products += 1
-        # x_(n+1) = x_n * g(x_n): the gap bound at x_n from the ratio, off
-        # the simplex at n = 0
-        gap = max(float((x_next / xt).max()) - 1.0, 2.0**-52)
+        # the gap bound at x_n, floored at the rounding of r; off the simplex at n = 0
+        gap = float(g1.max()) - float(r.sum()) / b_total
+        gap = max(gap, 2.0**-52 * float(((np.abs(b) + np.abs(b - r)) / den).max()))
         if n >= 1 and gap <= _CERTIFICATE_TOL * kl:
-            status = SolveStatus.STAGNATED_MIN_KL
-            break
-        xt = x_next
+            return SolveStatus.STAGNATED_MIN_KL, n, res, kls, products, x
+        x_next = x + (x + t) * g1
+        low = g1 < -0.5
+        if low.any():
+            g = spmv_transpose(A, b_t / den) / s
+            products += 1
+            x_next[low] = (x + t)[low] * g[low] - t
+        x = x_next
         n += 1
-    res[-1] = exact_residual(xt)
-    products += 1
-    return status, n, res, kls, products, system.recover(xt) - t
 
 
 def _dense_shifted_case():
@@ -462,10 +458,10 @@ def _wide_case():
     ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter", "dense-odd-max-iter", "wide-converged"],
 )
 def test_solve_loop_matches_plain_kernels(case, expected):
-    # the solve loop at window 0 against the same stopping rules around
-    # nna_step and kl_divergence, bit for bit but for the divergence: the
-    # loop sums q (delta - log1p delta), kl_divergence q log(q / M x), and
-    # the two differ by at most 3.0e-16 on these cases
+    # the solve loop at window 0 against the same stopping rules around the
+    # residual-form step in plain kernels, bit for bit but for the
+    # divergence: the loop sums q (delta - log1p delta), kl_divergence
+    # q log(q / M x), and the two differ by at most 3.0e-16 on these cases
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
     status, iterations, res, kls, products, x = reference_solve(A, b, cfg)
@@ -479,6 +475,28 @@ def test_solve_loop_matches_plain_kernels(case, expected):
     # simplex, so none is negative, not even near a solution, where a sum of
     # q log(q / M x) rounds below 0
     assert np.all(report.kl_trace >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_dense_shifted_case, _inconsistent_case, _sparse_capped_case, _dense_odd_cap_case, _wide_case],
+    ids=["dense-converged", "inconsistent-stagnated", "sparse-max-iter", "dense-odd-max-iter", "wide-converged"],
+)
+def test_residual_form_step_is_the_papers_update(case):
+    # x + (x + t) g1, mapped to x_tilde = (x + t) s / B, is nna_step's
+    # x_tilde * M^T (q / M x_tilde) to rounding, from the start (off the
+    # simplex) and from the iterate after it (on it)
+    A, b, cfg = case()
+    t = cfg.t_shift
+    shifted = shift(A, b, t)
+    system = rescale(A, shifted.b_shifted)
+    x = np.ones(A.ncols)
+    for _ in range(2):
+        x_tilde = (x + t) * system.col_scale / system.b_total
+        ax = spmv(A, x)
+        g1 = spmv_transpose(A, (b - ax) / (ax + t * shifted.a_row_sums)) / A.col_sums
+        x = x + (x + t) * g1
+        np.testing.assert_allclose((x + t) * system.col_scale / system.b_total, nna_step(system, x_tilde), rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [100, 300])
@@ -633,7 +651,9 @@ def test_solve_auto_shift_retries_count_every_attempt():
     # x* = (3, -3) needs a shift above 3: at t = 0.317, 0.634, 1.267 and 2.535
     # the shifted system has no solution, and the certificate stops each
     # attempt (172, 428, 1253 and 9753 iterations) before t = 5.069 converges
-    # in 9201; matvec_count sums the products of all five attempts
+    # in 9201; matvec_count sums the products of all five attempts (the first
+    # two take the paper's g once each, for a component that falls by more
+    # than half, and none confirms a residual, which is exact)
     A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
     b = spmv(A, np.array([3.0, -3.0]))
     report = nna_solve(A, b)
@@ -641,7 +661,7 @@ def test_solve_auto_shift_retries_count_every_attempt():
     assert report.iterations == 9201
     recomputed = float(np.linalg.norm(A.to_dense() @ report.x - b))
     assert recomputed <= default_tolerance(b)
-    assert report.matvec_count == 41_628
+    assert report.matvec_count == 41_625
     # the report names the kept attempt's shift and counts every attempt
     assert report.t_shift == pytest.approx(5.069, rel=1e-3)
     assert report.attempts == 5
@@ -888,13 +908,14 @@ def test_accelerated_rejection_keeps_the_history():
 @settings(max_examples=100, deadline=None)
 @given(system=positive_systems(), max_iter=st.integers(0, 100))
 def test_accelerated_property_iterates_stay_on_the_simplex(system, max_iter):
-    # every point the accelerated loop multiplies by a_tilde after iterate 0
+    # every point x the accelerated loop multiplies by A after iterate 0
     # (each accepted iterate, and each mixed point its divergence test
-    # weighs) is positive and sums to 1; the safeguard's reference, the
-    # largest divergence of the last _GLL_MEMORY iterates, never rises: a
-    # mixed point enters only at or below it, a plain step only at or below
-    # its iterate's divergence, up to the rounding the plain loop's property
-    # above allows
+    # weighs) has x + t > 0 and s^T (x + t) = B, the total of b + t A1, so
+    # x_tilde = (x + t) s / B is positive and sums to 1; the safeguard's
+    # reference, the largest divergence of the last _GLL_MEMORY iterates,
+    # never rises: a mixed point enters only at or below it, a plain step
+    # only at or below its iterate's divergence, up to the rounding the
+    # plain loop's property above allows
     A, b = system
     systems, points = [], []
     rescale_, spmv_ = nnasolve.nna.rescale, nnasolve.nna.spmv
@@ -904,7 +925,7 @@ def test_accelerated_property_iterates_stay_on_the_simplex(system, max_iter):
         return systems[-1]
 
     def recorded_spmv(M, x):
-        if systems and M is systems[-1].a_tilde:
+        if systems and M is A:
             points.append(x)
         return spmv_(M, x)
 
@@ -916,8 +937,9 @@ def test_accelerated_property_iterates_stay_on_the_simplex(system, max_iter):
     # one point an iterate, and at most one more per rejection
     assert len(systems) == 1
     assert report.iterations + 1 <= len(points) <= report.iterations + 1 + report.rejections
+    s, b_total, t = systems[0].col_scale, systems[0].b_total, report.t_shift
     for x in points[1:]:
-        assert np.all(x > 0.0) and abs(x.sum() - 1.0) <= 1e-12
+        assert np.all(x + t > 0.0) and abs(s @ (x + t) - b_total) <= 1e-12 * b_total
     kls = report.kl_trace
     assert kls.size == report.iterations + 1
     reference = [kls[max(0, n - _GLL_MEMORY + 1) : n + 1].max() for n in range(kls.size)]
@@ -1024,8 +1046,9 @@ def test_loop_products_go_through_traced_kernel_names(monkeypatch):
     inst = gen_dense_uniform(10, 0)
     report = nna_solve(inst.A, inst.b, cfg=SolverConfig(t_shift=10.0, max_iter=3000))
     assert report.status is SolveStatus.MAX_ITERATIONS
-    # every counted product plus shift's row-sum product A @ 1
-    assert len(calls) == report.matvec_count + 1 == 6003
+    # every counted product plus shift's row-sum product A @ 1: A x_0, then
+    # two an iteration, and no confirmation
+    assert len(calls) == report.matvec_count + 1 == 6002
 
 
 def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
@@ -1037,15 +1060,15 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
     report = general_solve(sparse_of(dense), b, cfg=SolverConfig(eps_tol=1e-9, max_iter=50_000))
     assert report.status is SolveStatus.CONVERGED
     n = report.iterations
-    # general_solve runs the accelerated loop: two products with P an
-    # iteration, one more per mixed point the safeguard rejects, and the one
-    # confirmation of convergence
+    # general_solve runs the accelerated loop: P y_0, two products with P an
+    # iteration, and one more per mixed point the safeguard rejects; the
+    # traced residuals are exact, so none is confirmed
     assert n == 18 and report.rejections == 0
-    assert report.matvec_count == 2 * n + 2 + report.rejections
+    assert report.matvec_count == 2 * n + 1 + report.rejections
     # the counted products with P, shift's row sum, and one uncounted tie-block
-    # product per tracked residual (n + 1) and per recomputed residual (1)
+    # product per tracked residual (n + 1)
     assert calls.count("spmv_transpose") == n
-    assert len(calls) == report.matvec_count + 1 + (n + 2) == 59
+    assert len(calls) == report.matvec_count + 1 + (n + 1) == 57
 
 
 @pytest.mark.parametrize(
@@ -1074,18 +1097,33 @@ def test_a_breakdown_makes_no_product_past_the_bad_iterate(monkeypatch):
     assert len(calls) == 2
 
 
+def _recording_gates(monkeypatch):
+    gates = []
+
+    class Recorded(nnasolve.nna._ResidualGate):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            gates.append(self)
+
+    monkeypatch.setattr(nnasolve.nna, "_ResidualGate", Recorded)
+    return gates
+
+
 def test_a_failed_confirmation_on_the_last_row_is_made_once(monkeypatch):
-    # at max_iter = 264 the tracked residual first reaches the gate on the
-    # row where the run stops, and b - A x is above eps there; the loop used
-    # to recompute that x a second time on the way out, 531 products in all
+    # at max_iter = 264 the tracked residual of the shifted form first
+    # reached its gate on the row where the run stops, with b - A x above eps
+    # there, and the loop once recomputed that x twice.  The loop's residual
+    # is now exact: nothing is confirmed, and the last entry is b - A x
     calls = _counting_kernels(monkeypatch)
+    gates = _recording_gates(monkeypatch)
     A, b, cfg = _dense_shifted_case()
     report = nna_solve(A, b, cfg=replace(cfg, max_iter=264))
     assert report.status is SolveStatus.MAX_ITERATIONS
-    # 265 products M x, 264 updates and one confirmation
-    assert report.matvec_count == 530
+    # 265 products A x and 264 updates
+    assert report.matvec_count == 529
     assert len(calls) == report.matvec_count + 1
-    assert report.residual_trace[-1] == float(np.linalg.norm(spmv(A, report.x) - b)) > cfg.eps_tol
+    assert len(gates) == 1 and gates[0].recomputes == 0
+    assert report.residual_trace[-1] == _norm(b - spmv(A, report.x)) > cfg.eps_tol
 
 
 _UNSHIFTABLE = {
@@ -1112,29 +1150,33 @@ def test_a_positive_b_needs_no_shift_even_when_row_sums_overflow():
     assert shift(_UNSHIFTABLE["row-sum-overflows"], [1.0, 2.0]).t == 0.0
 
 
-def test_a_run_that_ends_on_a_recomputed_residual_within_eps_converges():
-    # at max_iter = 0 the tracked residual of the start is 1.3e-14, above
-    # eps, but the returned x solves the system exactly; the run used to end
-    # as max_iterations on a confirmed residual of 0
+def test_a_run_that_ends_on_a_recomputed_residual_within_eps_converges(monkeypatch):
+    # the start solves the system exactly; the shifted form tracked its
+    # residual as 1.3e-14, above eps, and once ended as max_iterations on a
+    # confirmed residual of 0.  The loop's residual is b - A x itself
+    gates = _recording_gates(monkeypatch)
     A = sparse_of([[4.0, 1.0], [7.0, 5.0]])
-    report = nna_solve(A, [37.0, 81.0], x0=[8.0, 5.0], cfg=SolverConfig(eps_tol=1e-15, max_iter=0))
+    b = np.array([37.0, 81.0])
+    report = nna_solve(A, b, x0=[8.0, 5.0], cfg=SolverConfig(eps_tol=1e-15, max_iter=0))
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 0 and report.residual_trace.tolist() == [0.0]
-    # one product M x_tilde and the confirmation
-    assert report.matvec_count == 2
+    assert report.residual_trace[-1] == _norm(b - spmv(A, report.x))
+    # one product A x and no confirmation
+    assert report.matvec_count == 1
+    assert gates[0].recomputes == 0
 
 
 @pytest.mark.parametrize(
     "start, expected, products",
     [
-        # ||A x0 - b|| = 1e200 * sqrt(m) is finite, and so is its tracked
-        # value, whose norm is scaled where the plain sum of squares
-        # overflows: the run goes on, with no confirmation at iterate 0, and
-        # converges at iterate 1
+        # ||A x0 - b|| = 1e200 * sqrt(m) is finite, its norm scaled where the
+        # plain sum of squares overflows: the run goes on and converges at
+        # iterate 1.  Each x_j falls by 1e200, where g1 rounds to -1, so
+        # the step takes the paper's g: A x0, A^T twice and A x1
         (1e200, SolveStatus.CONVERGED, 4),
-        # b - A x0 overflows too, so the start is a breakdown (the loop used
-        # to go on and converge at iterate 1)
-        (1e308, SolveStatus.BREAKDOWN, 2),
+        # ||b - A x0|| overflows, so the start is a breakdown (the loop once
+        # went on and converged at iterate 1); A x0 is the one product
+        (1e308, SolveStatus.BREAKDOWN, 1),
     ],
 )
 def test_a_non_finite_tracked_residual_is_confirmed(monkeypatch, start, expected, products):
@@ -1142,9 +1184,12 @@ def test_a_non_finite_tracked_residual_is_confirmed(monkeypatch, start, expected
     # would converge at iterate 1
     m = 4
     calls = _counting_kernels(monkeypatch)
+    gates = _recording_gates(monkeypatch)
     report = nna_solve(identity(m), np.ones(m), x0=np.full(m, start), cfg=SolverConfig(eps_tol=1e-8, max_iter=5))
     assert report.status is expected
     assert report.matvec_count == products and len(calls) == products + 1
+    assert gates[0].recomputes == 0
+    assert report.residual_trace[-1] == _norm(np.ones(m) - report.x)
     # ||x0 - 1||, scaled against overflow as the solvers' norm is
     true = math.hypot(*np.full(m, start - 1.0))
     assert report.residual_trace[0] == pytest.approx(true, rel=1e-12)
