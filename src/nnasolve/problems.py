@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     TooManyNonzeros,
     UnsupportedFormat,
 )
-from .nna import SolveReport
+from .nna import SolveReport, _norm
 from .sparse import SparseMatrix, from_arrays, spmv
 
 __all__ = [
@@ -85,8 +85,8 @@ class ProblemInstance:
 
     def __post_init__(self):
         if self.x_star is not None:
-            defect = float(np.linalg.norm(spmv(self.A, self.x_star) - self.b))
-            if defect > 1e-10 * (1.0 + float(np.linalg.norm(self.b))):
+            defect = _norm(spmv(self.A, self.x_star) - self.b)
+            if defect > 1e-10 * (1.0 + _norm(self.b)):
                 raise ValueError(f"stated solution does not satisfy A x = b (defect {defect:.3e})")
 
 
@@ -166,61 +166,44 @@ def _holds_entry(line: str) -> bool:
     return bool(text) and text[0] != "%"
 
 
-def _parse_entries(lines: list[str]) -> np.ndarray:
-    """Parse 'row col value' lines; raises ValueError if any line is malformed."""
+def _parse_entries(lines: list[str]) -> np.ndarray | None:
+    """Parse the 'row col value' lines among blank and % comment lines; None if
+    one is malformed.  Lines holding no % and not all blank go to loadtxt as
+    they are (it skips blank lines itself); any others, as their entry lines."""
+    text = "".join(lines)
+    if "%" in text or text.isspace():
+        lines = [*filter(_holds_entry, lines)]
     if not lines:
         return np.empty(0, dtype=_ENTRY_DTYPE)  # loadtxt warns on empty input
-    return np.loadtxt(lines, dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
-
-
-def _parse_until_error(lines: list[str]) -> tuple[np.ndarray, int | None]:
-    """Parse entry lines up to the first malformed one.
-
-    Returns the entries before it and its index, or None when all parse.  The
-    failing line is found with the same parser, so what is accepted and what
-    is reported can never disagree.
-    """
     try:
-        return _parse_entries(lines), None
+        return np.loadtxt(lines, dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
     except ValueError:
-        for k, line in enumerate(lines):
-            try:
-                _parse_entries([line])
-            except ValueError:
-                return _parse_entries(lines[:k]), k
-        raise
+        return None
 
 
-def _parse_block(block: list[str], room: int) -> tuple[np.ndarray, int | None]:
-    """Parse a block of whole lines holding room more entries at most.
+def _first_error(block: list[str], before: int, room: int, nrows: int, ncols: int) -> Exception:
+    """The first error, in file order, of a block read after line `before` that
+    has room for `room` more entries.
 
-    Returns the entries of its entry lines up to the first that is malformed
-    or beyond room, and that line's index among the entry lines (None when
-    there is none).  A block with no % and at least one non-blank line goes
-    to the parser as it is, since loadtxt skips blank lines itself; any other
-    block (loadtxt warns on one without entries), and one the parser rejects
-    or that holds more than room entries, is parsed line by line.
+    Each entry line is parsed alone by the parser that rejected the block, so
+    what is accepted and what is reported can never disagree.
     """
-    text = "".join(block)
-    if "%" not in text and not text.isspace():
-        try:
-            entries = _parse_entries(block)
-        except ValueError:
-            pass
-        else:
-            if entries.size <= room:
-                return entries, None
-    kept = list(compress(block, map(_holds_entry, block)))
-    entries, bad = _parse_until_error(kept[:room])
-    if bad is None and len(kept) > room:
-        bad = room
-    return entries, bad
-
-
-def _entry_line(block: list[str], before: int, k: int) -> int:
-    """File line number of the k-th entry line of a block read after line `before`."""
-    positions = list(compress(range(len(block)), map(_holds_entry, block)))
-    return before + 1 + positions[k]
+    for where, line in enumerate(block, start=before + 1):
+        if not _holds_entry(line):
+            continue
+        if room == 0:
+            return ParseError(where, "more entries than declared in the size line")
+        room -= 1
+        entry = _parse_entries([line])
+        if entry is None:
+            return ParseError(where, f"malformed entry {line.strip()!r}, expected 'row col value'")
+        ((i, j, v),) = entry.tolist()
+        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            return IndexOutOfRange(f"line {where}: entry ({i}, {j}) outside {nrows}x{ncols}")
+        if not math.isfinite(v):
+            return NonFiniteValue(f"line {where}: non-finite value {line.split()[2]!r}")
+    # loadtxt skips exactly the lines _holds_entry drops, so a rejected block holds an error
+    raise AssertionError(f"no error in the rejected block after line {before}")
 
 
 def read_matrix_market(path) -> SparseMatrix:
@@ -228,10 +211,13 @@ def read_matrix_market(path) -> SparseMatrix:
 
     Symmetric files are expanded to full storage by mirroring off-diagonal
     entries; 1-based indices are converted; % comment lines are skipped.
-    The entries are read in blocks of whole lines, each parsed by one
-    np.loadtxt call unless it holds a comment or an error (_parse_block), so
-    indices are plain decimal integers (no ``_`` digit separators).  Errors
-    name the file line they come from.
+    Entries are read in blocks of whole lines, and each block takes one
+    np.loadtxt call, so indices are plain decimal integers (no ``_`` digit
+    separators): the block as it is when it holds no % and is not blank-only,
+    else its entry lines.  A block that parses, fits the declared count and
+    holds only in-range indices and finite values is kept; any other is
+    walked line by line (_first_error) for the first error, which names its
+    file line.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -274,23 +260,13 @@ def read_matrix_market(path) -> SparseMatrix:
         vals = np.empty(nnz, dtype=np.float64)
         got = 0
         while block := fh.readlines(_READ_BLOCK_CHARS):
-            room = nnz - got
-            entries, bad = _parse_block(block, room)
-            i, j, v = entries["i"], entries["j"], entries["v"]
-            out_of_range = (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
-            offenders = np.flatnonzero(out_of_range | ~np.isfinite(v))
-            if offenders.size:
-                k = int(offenders[0])
-                where = _entry_line(block, lineno, k)
-                if out_of_range[k]:
-                    raise IndexOutOfRange(f"line {where}: entry ({i[k]}, {j[k]}) outside {nrows}x{ncols}")
-                raise NonFiniteValue(f"line {where}: non-finite value {block[where - lineno - 1].split()[2]!r}")
-            if bad is not None:
-                where = _entry_line(block, lineno, bad)
-                if bad == room:
-                    raise ParseError(where, "more entries than declared in the size line")
-                detail = f"malformed entry {block[where - lineno - 1].strip()!r}, expected 'row col value'"
-                raise ParseError(where, detail)
+            entries = _parse_entries(block)
+            accept = entries is not None and entries.size <= nnz - got
+            if accept:
+                i, j, v = entries["i"], entries["j"], entries["v"]
+                accept = ((i >= 1) & (i <= nrows) & (j >= 1) & (j <= ncols) & np.isfinite(v)).all()
+            if not accept:
+                raise _first_error(block, lineno, nnz - got, nrows, ncols)
             end = got + entries.size
             np.subtract(i, 1, out=rows[got:end])
             np.subtract(j, 1, out=cols[got:end])

@@ -165,6 +165,8 @@ def test_extract_validates_length():
     emb = embed(sparse_of(-np.eye(2)), np.array([1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         extract(np.ones(3), emb)
+    with pytest.raises(DimensionMismatch, match=r"^y has length 3, expected 4$"):
+        consistency_defect(np.ones(3), emb)  # two original columns and two slacks
 
 
 def test_extract_identity_when_no_ties():

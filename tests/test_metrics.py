@@ -30,6 +30,7 @@ def test_kl_identical_is_exactly_zero():
 def test_kl_closed_form_and_infinity():
     assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), rel=1e-12)
     assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+    assert kl_divergence([0.0, 0.0], [0.5, 0.0]) == 0.0  # every term has u_i = 0
 
 
 def test_kl_finite_where_the_ratio_leaves_the_float_range():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def test_problem_instance_rejects_inconsistent_solution():
         ProblemInstance(identity(2), np.array([1.0, 1.0]), np.array([5.0, 5.0]), 0, "bad")
 
 
+def test_problem_instance_checks_a_solution_near_the_float_range():
+    # the squares of 1e300 overflow: the norms must be scaled, not overflow to inf
+    from nnasolve import ProblemInstance
+    from conftest import identity
+
+    b = np.array([1e300, 1e300])
+    ProblemInstance(identity(2), b, b.copy(), 0, "exact")
+    with pytest.raises(ValueError, match="does not satisfy"):
+        ProblemInstance(identity(2), b, np.array([1e300, 5e299]), 0, "bad")
+
+
 # ---------------------------------------------------------------------------
 # matrix market
 
@@ -226,6 +238,15 @@ def test_read_sums_duplicate_entries(tmp_path):
     A = read_matrix_market(path)
     assert A.to_dense()[0, 0] == 3.0
     assert A.nnz == 2
+
+
+@pytest.mark.parametrize(
+    "gen", [lambda m: gen_dense_uniform(m, 0), lambda m: gen_sparse_random(m, 0, 5.0, 0)], ids=["dense", "sparse"]
+)
+@pytest.mark.parametrize("m", [0, -3])
+def test_generators_reject_a_size_below_one(gen, m):
+    with pytest.raises(ValueError, match=r"^m must be >= 1$"):
+        gen(m)
 
 
 def test_gen_sparse_random_rejects_a_negative_count():
@@ -374,9 +395,10 @@ def test_matrix_market_round_trip_property(tmp_path_factory, A, fillers, crlf):
 
 # Reading block by block.  With the block size cut to 23 characters, every
 # block below is three 8-character lines, so small files cross several block
-# boundaries.  A block without comments is parsed in one loadtxt call; a block
-# with a comment or without entries, or one that call rejects, goes line by
-# line through _parse_until_error.
+# boundaries.  Each block is parsed by one loadtxt call: as it is without
+# comments, else its entry lines only, and a blank-only block by none.  Only a
+# block that call or the checks after it reject is walked line by line
+# through _first_error.
 
 _ENTRY_8 = "{} {} {}.0\n"  # 8 characters for one-digit fields
 _BLANK_8 = "       \n"
@@ -398,42 +420,54 @@ def entry_lines(n):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Three 8-character lines per block; counts the blocks parsed line by line."""
+    """Three 8-character lines per block; records the lines of every loadtxt
+    call (parsed) and the blocks walked line by line (walked)."""
     monkeypatch.setattr(problems, "_READ_BLOCK_CHARS", 23)
-    slow = []
-    line_by_line = problems._parse_until_error
+    calls = SimpleNamespace(parsed=[], walked=[])
+    loadtxt, first_error = np.loadtxt, problems._first_error
 
-    def spy(lines):
-        slow.append(list(lines))
-        return line_by_line(lines)
+    def parse_spy(lines, **kwargs):
+        calls.parsed.append(list(lines))
+        return loadtxt(lines, **kwargs)
 
-    monkeypatch.setattr(problems, "_parse_until_error", spy)
-    return slow
+    def walk_spy(block, *args):
+        calls.walked.append(list(block))
+        return first_error(block, *args)
+
+    monkeypatch.setattr(problems.np, "loadtxt", parse_spy)
+    monkeypatch.setattr(problems, "_first_error", walk_spy)
+    return calls
 
 
 def test_read_comment_in_the_middle_block_of_three(tmp_path, small_blocks):
     body = entry_lines(8)
     body.insert(4, _COMMENT_8)  # file line 7, the middle of lines 6-8
     A = read_matrix_market(write_lines(tmp_path / "c.mtx", body))
+    # one call per block; the comment block goes without its comment, and none is walked
+    assert small_blocks.parsed == [body[:3], [body[3], body[5]], body[6:]]
+    assert small_blocks.walked == []
     clean = read_matrix_market(write_lines(tmp_path / "clean.mtx", entry_lines(8)))
-    assert small_blocks == [[body[3], body[5]]]  # only the middle block went line by line
     assert np.array_equal(A.to_dense(), clean.to_dense())
 
 
 def test_read_block_of_blank_lines_only(tmp_path, small_blocks):
     body = entry_lines(3) + [_BLANK_8] * 3 + entry_lines(6)[3:]
     A = read_matrix_market(write_lines(tmp_path / "b.mtx", body))
-    assert small_blocks == [[]]  # the blank block never reaches loadtxt
+    assert small_blocks.parsed == [body[:3], body[6:]]  # the blank block never reaches loadtxt
+    assert small_blocks.walked == []
     clean = read_matrix_market(write_lines(tmp_path / "clean.mtx", entry_lines(6)))
     assert np.array_equal(A.to_dense(), clean.to_dense())
 
 
 def test_read_one_entry_too_many_inside_a_parsing_block(tmp_path, small_blocks):
     # the second block (file lines 6-8) parses, but only 1 of its 3 entries fits
-    path = write_lines(tmp_path / "more.mtx", entry_lines(6), declared=4)
+    body = entry_lines(6)
+    path = write_lines(tmp_path / "more.mtx", body, declared=4)
     with pytest.raises(ParseError, match="more entries than declared") as err:
         read_matrix_market(path)
     assert err.value.line == 7
+    assert small_blocks.walked == [body[3:]]  # only the block holding the error
+    assert small_blocks.parsed == [body[:3], body[3:], [body[3]]]  # the walk stops at line 7
 
 
 def test_read_malformed_last_block(tmp_path, small_blocks):
@@ -441,6 +475,8 @@ def test_read_malformed_last_block(tmp_path, small_blocks):
     with pytest.raises(ParseError, match=r"malformed entry '1 x 1.0'") as err:
         read_matrix_market(write_lines(tmp_path / "bad.mtx", body, declared=7))
     assert err.value.line == 10
+    assert small_blocks.walked == [body[6:]]  # only the block holding the error
+    assert small_blocks.parsed == [body[:3], body[3:6], body[6:], [body[7]]]
 
 
 @settings(max_examples=100, deadline=None)

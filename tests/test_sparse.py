@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from nnasolve import (
     IndexOutOfRange,
     NonFiniteValue,
     SparseMatrix,
+    TooLargeForDense,
     from_arrays,
     from_triplets,
     gen_dense_uniform,
@@ -225,6 +228,39 @@ def test_direct_construction_validates_invariants():
         SparseMatrix(2, 2, [0, 1, 1], [5], [1.0])
     with pytest.raises(NonFiniteValue):
         SparseMatrix(2, 2, [0, 1, 1], [0], [float("inf")])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SparseMatrix(2, 2, [0, 1], [0], [1.0]), "col_ptr must have length ncols + 1"),
+        (lambda: SparseMatrix(2, 2, [1, 1, 1], [0], [1.0]), "col_ptr endpoints do not match the value count"),
+        (lambda: SparseMatrix(2, 2, [0, 1, 2], [0], [1.0]), "col_ptr endpoints do not match the value count"),
+        (lambda: SparseMatrix(2, 2, [0, 2, 1], [0], [1.0]), "col_ptr must be non-decreasing"),
+        (lambda: SparseMatrix(2, 2, [0, 1, 1], [0, 1], [1.0]), "row_idx and values must have equal length"),
+        (lambda: from_arrays(-1, 2, [], [], []), "matrix dimensions must be nonnegative"),
+        (lambda: from_arrays(2, -1, [], [], []), "matrix dimensions must be nonnegative"),
+        (lambda: from_arrays(2, 2, [0, 1], [0], [1.0, 2.0]), "rows, cols and values must be equal-length 1-D arrays"),
+    ],
+    ids=["col-ptr-length", "col-ptr-start", "col-ptr-end", "col-ptr-order", "lengths",
+         "negative-rows", "negative-cols", "unequal-coordinates"],
+)
+def test_construction_rejects_inconsistent_arrays(build, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_direct_construction_equals_from_arrays():
+    A = SparseMatrix(3, 2, [0, 2, 3], [0, 2, 1], [1.0, -2.0, 3.0])
+    B = from_arrays(3, 2, [0, 2, 1], [0, 0, 1], [1.0, -2.0, 3.0])
+    for name in ("col_ptr", "row_idx", "values", "col_sums", "entry_col"):
+        assert getattr(A, name).tobytes() == getattr(B, name).tobytes()
+    assert A.shape == B.shape == (3, 2)
+
+
+def test_to_dense_refuses_above_the_dense_limit():
+    with pytest.raises(TooLargeForDense, match=r"^2001x2000 exceeds the dense limit$"):
+        from_arrays(2001, 2000, [], [], []).to_dense()
 
 
 # ---------------------------------------------------------------------------
