@@ -39,19 +39,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _report(status, x, gate, started, products, diagnostic=None):
-    return SolveReport(
-        status=status,
-        iterations=len(gate.values) - 1,
-        x=x,
-        residual_trace=np.frombuffer(gate.values),
-        kl_trace=np.empty(0),
-        elapsed_ns=time.perf_counter_ns() - started,
-        matvec_count=products + gate.recomputes,
-        diagnostic=diagnostic,
-    )
-
-
 def _start_residual(A: SparseMatrix, b, x) -> tuple[np.ndarray, int]:
     """b - A x and the products it took: none at a zero x, where it is b."""
     return (b - spmv(A, x), 1) if x.any() else (b, 0)
@@ -92,7 +79,7 @@ def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -
         products += 1
         gate.add(s - diag * x)
         n += 1
-    return _report(status, x, gate, started, products)
+    return gate.report(status, x, started, products)
 
 
 def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -120,7 +107,7 @@ def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = N
         gate.add(b - spmv(A, x))
         products += 1
         n += 1
-    return _report(status, x, gate, started, products)
+    return gate.report(status, x, started, products)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,6 @@ def _cg_core(apply_op, r, x, gate, max_iter, carried=None):
         r = r - alpha * Ap
         gate.add(r if carried is None else carried(alpha))
         n += 1
-    gate.confirm(x)
     return x, status, applies, diagnostic
 
 
@@ -195,7 +181,7 @@ def cg_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> So
     b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros, symmetric=True)
     gate, products = _start(A, b, x, eps)
     x, status, applies, diagnostic = _cg_core(lambda v: spmv(A, v), gate.residual, x, gate, cfg.max_iter)
-    return _report(status, x, gate, started, products + applies, diagnostic)
+    return gate.report(status, x, started, products + applies, diagnostic=diagnostic)
 
 
 def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -222,7 +208,7 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
     x, status, applies, diagnostic = _cg_core(
         apply_op, r, x, gate, cfg.max_iter, lambda alpha: gate.residual - alpha * Ap
     )
-    return _report(status, x, gate, started, products + 2 * applies, diagnostic)
+    return gate.report(status, x, started, products + 2 * applies, diagnostic=diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +341,7 @@ def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> S
             # the step was the best the closed space holds; a restart from the
             # rounding in the carried r would take spurious steps, so confirm now
             gate.confirm(x)
-    gate.confirm(x)
-    return _report(status, x, gate, started, products, diagnostic)
+    return gate.report(status, x, started, products, diagnostic=diagnostic)
 
 
 def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:

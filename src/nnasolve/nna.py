@@ -20,7 +20,7 @@ import enum
 import math
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -117,32 +117,27 @@ class SolveReport:
     the start scaled onto the simplex; it is empty for solvers that do not
     track a divergence.
 
-    Every solver stops through one rule (_ResidualGate): a carried residual
-    is recomputed as b - A x once it reaches the gate or the run would end
-    on it, and the run converges only on a recomputed value within eps, so
-    the last residual_trace entry is the residual of the returned x (for
-    general_solve, mapped through the tie block); nna_solve's and
-    general_solve's entries are all exact, and none is carried.
-    matvec_count counts every product with the iteration matrix (P for an
-    embedded system), each recomputation included, summed over every
-    auto-shift attempt; from a zero start no baseline makes one for the
-    first residual, b.  Not counted are shift's row sums A 1, one per
-    nna_solve or general_solve call, and general_solve's products with the
-    tie block (A's negative entries only, 13.7% of nnz(P) on the benchmark's
-    mixed-mtx instance), which map each traced residual to the original
-    system.  t_shift is the positivity shift of the kept attempt and
-    attempts the number of shifts tried (1 + auto-shift retries); solvers
-    that do not shift leave them None and 0.  rejections counts the mixed
-    points general_solve's safeguard replaced by the plain step in the kept
-    attempt; every other solver leaves it 0.
+    Every solver's report is built by one method (_ResidualGate.report): the
+    last residual_trace entry is the residual of the returned x (for
+    general_solve, mapped through the tie block), iterations is the trace
+    length minus one, and matvec_count counts every product with the
+    iteration matrix (P for an embedded system), each recomputation
+    included, summed over every auto-shift attempt.  Not counted are
+    general_solve's products with the tie block (A's negative entries only,
+    13.7% of nnz(P) on the benchmark's mixed-mtx instance), which map each
+    traced residual to the original system.  t_shift is the positivity
+    shift of the kept attempt and attempts the number of shifts tried (1 +
+    auto-shift retries); solvers that do not shift leave them None and 0.
+    rejections counts the mixed points general_solve's safeguard replaced
+    by the plain step in the kept attempt; every other solver leaves it 0.
     """
 
     status: SolveStatus
     iterations: int
     x: np.ndarray
     residual_trace: np.ndarray
-    kl_trace: np.ndarray
-    elapsed_ns: int
+    kl_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    elapsed_ns: int = 0
     matvec_count: int = 0
     diagnostic: str | None = None
     t_shift: float | None = None
@@ -232,7 +227,8 @@ def _setup(A: SparseMatrix, b, x0, cfg, start, square=True, symmetric=False):
 
 
 class _ResidualGate:
-    """The stopping rule of every solver, and the residual trace it reads.
+    """The stopping rule of every solver, the residual trace it reads, and
+    the report every run ends with.
 
     values holds one residual norm per iterate.  Without recompute every
     entry is exact; with it, an entry add() appends is carried and drifts
@@ -244,8 +240,8 @@ class _ResidualGate:
     unless the entry is 0: that ratio says nothing about drift, and a gate
     of 0 would confirm no later entry above 0.
     On a confirmed entry, not finite is BREAKDOWN, within eps CONVERGED,
-    then max_iter MAX_ITERATIONS; so every exit
-    through status() or confirm() ends on the residual of the returned x.
+    then max_iter MAX_ITERATIONS.  report() confirms a carried last entry
+    too, so every report ends on the residual of the returned x.
     """
 
     def __init__(self, eps: float, recompute=None, first=None):
@@ -292,6 +288,21 @@ class _ResidualGate:
             return SolveStatus.MAX_ITERATIONS
         return None
 
+    def report(self, status, x, started, products, **fields) -> SolveReport:
+        """The report of a run that ends with status at x; started is its
+        perf_counter_ns at entry and products the products it made besides
+        the gate's recomputations.  fields fill the other report fields."""
+        self.confirm(x)
+        return SolveReport(
+            status=status,
+            iterations=len(self.values) - 1,
+            x=x,
+            residual_trace=np.frombuffer(self.values),
+            elapsed_ns=time.perf_counter_ns() - started,
+            matvec_count=products + self.recomputes,
+            **fields,
+        )
+
 
 def _require_nonnegative(A: SparseMatrix):
     if A.values.size and float(A.values.min()) < 0.0:
@@ -327,7 +338,8 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
     """
     b = as_vector(b, "b", A.nrows)
     _require_nonnegative(A)
-    row_sums = spmv(A, np.ones(A.ncols))
+    # bincount of no entries comes back int64, hence the cast
+    row_sums = np.bincount(A.row_idx, A.values, A.nrows).astype(np.float64, copy=False)
     if t is None:
         if np.all(b > 0.0):
             return ShiftedSystem(0.0, b.copy(), row_sums)
@@ -352,14 +364,14 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
             raise NegativeInput("shift t must be nonnegative")
         if not math.isfinite(t_val):
             raise NonFiniteValue(f"shift t must be finite, got {t_val}")
-        b_t = b + t_val * row_sums
-        bad = np.flatnonzero(b_t <= 0.0)
-        if bad.size:
-            i = int(bad[0])
-            if row_sums[i] <= 0.0:
-                raise UnshiftableRow(i)
-            raise NonPositiveRhs(i, f"t={t_val} is too small to make b_t positive")
-    return ShiftedSystem(t_val, b + t_val * row_sums, row_sums)
+    b_t = b + t_val * row_sums
+    bad = np.flatnonzero(b_t <= 0.0)  # none for the automatic t, which clears every row
+    if bad.size:
+        i = int(bad[0])
+        if row_sums[i] <= 0.0:
+            raise UnshiftableRow(i)
+        raise NonPositiveRhs(i, f"t={t_val} is too small to make b_t positive")
+    return ShiftedSystem(t_val, b_t, row_sums)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -421,7 +433,6 @@ def _breakdown(exc: Exception, ncols: int, started: int) -> SolveReport:
         iterations=0,
         x=np.full(ncols, np.nan),
         residual_trace=np.empty(0),
-        kl_trace=np.empty(0),
         elapsed_ns=time.perf_counter_ns() - started,
         diagnostic=f"{type(exc).__name__}: {exc}",
     )
@@ -448,8 +459,8 @@ def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # a zero or non-finite A x shows as a non-finite divergence, not as warnings
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _run_loop(A, b, t, row_sums, x_start, cfg, eps, tie, window):
-    """Iterate from a fixed shift; returns a report without elapsed time filled in.
+def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
+    """Iterate from a fixed shift; returns the report of the run.
 
     The paper's update x_tilde <- x_tilde * M^T (q / M x_tilde), for
     x_tilde = (x + t) s / B, M = A diag(1 / s), q = b_t / B, b_t = b + t A1
@@ -528,7 +539,7 @@ def _run_loop(A, b, t, row_sums, x_start, cfg, eps, tie, window):
                 _ratio(b_t, den)
                 kl = metrics.kl_divergence(b_t, den) / b_total
         kl_trace.append(kl)
-        status = gate.status(x, n, cfg.max_iter)
+        status = gate.status(x, n, max_iter)
         if status is not None:
             break
         g1 = spmv_transpose(A, r / den)
@@ -583,17 +594,8 @@ def _run_loop(A, b, t, row_sums, x_start, cfg, eps, tie, window):
 
     stagnated = status is SolveStatus.STAGNATED_MIN_KL
     diagnostic = f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}" if stagnated else None
-    return SolveReport(
-        status=status,
-        iterations=n,
-        x=x,
-        residual_trace=np.frombuffer(gate.values),
-        kl_trace=np.frombuffer(kl_trace),
-        elapsed_ns=0,
-        matvec_count=made,
-        diagnostic=diagnostic,
-        t_shift=t,
-        rejections=rejections,
+    return gate.report(
+        status, x, started, made, kl_trace=np.frombuffer(kl_trace), diagnostic=diagnostic, t_shift=t, rejections=rejections
     )
 
 
@@ -644,8 +646,8 @@ def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
     best, matvecs, attempt = None, 0, 0
     while True:
         try:
-            report = _run_loop(A, b_arr, t, row_sums, x_start, cfg, eps, tie, window)
-        except (NonFiniteValue, ZeroColumn, ZeroDenominator, UnshiftableRow) as exc:
+            report = _run_loop(A, b_arr, t, row_sums, x_start, cfg.max_iter, eps, tie, window, started)
+        except (NonFiniteValue, ZeroColumn, ZeroDenominator) as exc:
             return _breakdown(exc, A.ncols, started)
         matvecs += report.matvec_count
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:

@@ -624,11 +624,11 @@ def _ends_on_the_recomputed_residual(solver, dense, b, k, cfg):
         assert "x unchanged" in report.diagnostic or underflow
     else:
         assert report.status is SolveStatus.STAGNATED_MIN_KL and solver in ("nna", "general")
-    # uncounted: shift's row sums A 1, and general_solve's tie block, the only
-    # matrix the solvers use with fewer columns than the one they iterate
+    # uncounted: general_solve's tie block, the only matrix the solvers use
+    # with fewer columns than the one they iterate
     iterated = A.ncols + (embed(A, b).J if solver == "general" else 0)
     products = sum(ncols == iterated for ncols, _ in calls)
-    assert products - (solver in ("nna", "general")) == report.matvec_count
+    assert products == report.matvec_count
     return report
 
 

@@ -97,6 +97,14 @@ def test_restart_length_below_one_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: restart length k must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv, code", [([], 2), (["solve"], 2), (["--help"], 0)], ids=["none", "solve", "help"])
+def test_argparse_exits_become_return_codes(capsys, argv, code):
+    # a usage error or --help returns argparse's exit code instead of raising SystemExit
+    assert run(argv) == code
+    out = capsys.readouterr()
+    assert ("usage:" in out.out) if code == 0 else ("error:" in out.err)
+
+
 def test_unknown_solver_rejected(tmp_path, capsys):
     code = run(
         ["solve", "--gen", "sparse-random:m=8,offdiag=16,diag-hi=20", "--solver", "sor", "--out", str(tmp_path)]

@@ -1046,9 +1046,9 @@ def test_loop_products_go_through_traced_kernel_names(monkeypatch):
     inst = gen_dense_uniform(10, 0)
     report = nna_solve(inst.A, inst.b, cfg=SolverConfig(t_shift=10.0, max_iter=3000))
     assert report.status is SolveStatus.MAX_ITERATIONS
-    # every counted product plus shift's row-sum product A @ 1: A x_0, then
-    # two an iteration, and no confirmation
-    assert len(calls) == report.matvec_count + 1 == 6002
+    # every kernel call is a counted product: A x_0, then two an iteration,
+    # and no confirmation
+    assert len(calls) == report.matvec_count == 6001
 
 
 def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
@@ -1065,10 +1065,10 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
     # traced residuals are exact, so none is confirmed
     assert n == 18 and report.rejections == 0
     assert report.matvec_count == 2 * n + 1 + report.rejections
-    # the counted products with P, shift's row sum, and one uncounted tie-block
-    # product per tracked residual (n + 1)
+    # the counted products with P, and one uncounted tie-block product per
+    # tracked residual (n + 1)
     assert calls.count("spmv_transpose") == n
-    assert len(calls) == report.matvec_count + 1 + (n + 1) == 57
+    assert len(calls) == report.matvec_count + (n + 1) == 56
 
 
 @pytest.mark.parametrize(
@@ -1078,23 +1078,23 @@ def test_embedded_loop_products_go_through_traced_kernel_names(monkeypatch):
 )
 def test_no_product_past_the_stop(monkeypatch, case, expected):
     # the loop computes no product beyond the iterate where the run stops:
-    # every kernel call is a counted product, bar shift's row sum A @ 1
+    # every kernel call is a counted product
     calls = _counting_kernels(monkeypatch)
     A, b, cfg = case()
     report = nna_solve(A, b, cfg=cfg)
     assert report.status is expected
-    assert len(calls) == report.matvec_count + 1
+    assert len(calls) == report.matvec_count
 
 
 def test_a_breakdown_makes_no_product_past_the_bad_iterate(monkeypatch):
     # M x0 overflows at iterate 0 (test_solve_nonfinite_mid_iteration_is_breakdown's
-    # system), and the run raises its typed breakdown there: the only kernel
-    # calls are shift's row sum A @ 1 and that one product
+    # system), and the run raises its typed breakdown there: that one product
+    # is the only kernel call
     calls = _counting_kernels(monkeypatch)
     A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)])
     report = nna_solve(A, [1.0, 1.0], x0=np.full(2, 1e308))
     assert report.status is SolveStatus.BREAKDOWN
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _recording_gates(monkeypatch):
@@ -1121,7 +1121,7 @@ def test_a_failed_confirmation_on_the_last_row_is_made_once(monkeypatch):
     assert report.status is SolveStatus.MAX_ITERATIONS
     # 265 products A x and 264 updates
     assert report.matvec_count == 529
-    assert len(calls) == report.matvec_count + 1
+    assert len(calls) == report.matvec_count
     assert len(gates) == 1 and gates[0].recomputes == 0
     assert report.residual_trace[-1] == _norm(b - spmv(A, report.x)) > cfg.eps_tol
 
@@ -1187,7 +1187,7 @@ def test_a_non_finite_tracked_residual_is_confirmed(monkeypatch, start, expected
     gates = _recording_gates(monkeypatch)
     report = nna_solve(identity(m), np.ones(m), x0=np.full(m, start), cfg=SolverConfig(eps_tol=1e-8, max_iter=5))
     assert report.status is expected
-    assert report.matvec_count == products and len(calls) == products + 1
+    assert report.matvec_count == products and len(calls) == products
     assert gates[0].recomputes == 0
     assert report.residual_trace[-1] == _norm(np.ones(m) - report.x)
     # ||x0 - 1||, scaled against overflow as the solvers' norm is
