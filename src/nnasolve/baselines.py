@@ -51,63 +51,57 @@ def _start(A: SparseMatrix, b, x, eps) -> tuple[_ResidualGate, int]:
     return _ResidualGate(eps, lambda x: b - spmv(A, x), first=r), products
 
 
-def _split_diagonal(A: SparseMatrix) -> tuple[np.ndarray, SparseMatrix]:
-    """The diagonal of A, which must have no zeros, and A without its diagonal."""
-    diag = A.diagonal()
-    dead = np.flatnonzero(diag == 0.0)
-    if dead.size:
-        raise ZeroDiagonal(int(dead[0]))
-    # A's arrays are canonical, so their masked copies are too
-    off = A.row_idx != A.entry_col
-    return diag, _from_canonical(A.nrows, A.ncols, A.row_idx[off], A.entry_col[off], A.values[off])
-
-
 # ---------------------------------------------------------------------------
 # stationary methods
 
-def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
-    """Jacobi sweeps x_{n+1} = D^{-1} (b - (A - D) x_n); from a zero x_0 the first takes no product."""
+def _stationary(A: SparseMatrix, b, x0, cfg, splitting) -> SolveReport:
+    """Sweeps x_{n+1} = x_n + M^{-1} r_n, r_n = b - A x_n, where splitting(A, D)
+    gives r -> M^{-1} r, D the diagonal of A, which must have no zeros.  The
+    product A x_n of a sweep gives both the residual the gate traces and the
+    next correction; from a zero x_0 the first residual is b, no product."""
     started = time.perf_counter_ns()
     b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros)
-    diag, A_off = _split_diagonal(A)
-    s, products = _start_residual(A_off, b, x)  # b - (A - D) x
-    gate = _ResidualGate(eps, first=s - diag * x)
-    n = 0
-    while (status := gate.status(x, n, cfg.max_iter)) is None:
-        x = s / diag
-        s = b - spmv(A_off, x)
-        products += 1
-        gate.add(s - diag * x)
-        n += 1
-    return gate.report(status, x, started, products)
-
-
-def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
-    """Gauss-Seidel forward sweeps, updating in place row by row.
-
-    Builds a one-off row-major mirror of the off-diagonal part at setup (the
-    sweep needs row access, which CSC cannot provide directly).  Row j reads
-    the entries x[<j] already updated in the same sweep.  From a zero x_0
-    the first traced residual is ||b||, with no product.
-    """
-    started = time.perf_counter_ns()
-    b, x, cfg, eps = _setup(A, b, x0, cfg, np.zeros)
-    x = x.copy()  # the sweep writes x in place
-    diag, A_off = _split_diagonal(A)
-    T = A_off.transpose()  # column j of T = row j of A_off
-    ptr, idx, vals = T.col_ptr.tolist(), T.row_idx, T.values
-
+    diag = A.diagonal()
+    if (dead := np.flatnonzero(diag == 0.0)).size:
+        raise ZeroDiagonal(int(dead[0]))
+    solve_m = splitting(A, diag)
     r, products = _start_residual(A, b, x)
     gate = _ResidualGate(eps, first=r)
     n = 0
     while (status := gate.status(x, n, cfg.max_iter)) is None:
-        for j in range(A.nrows):
-            lo, hi = ptr[j], ptr[j + 1]
-            x[j] = (b[j] - vals[lo:hi] @ x[idx[lo:hi]]) / diag[j]
+        x = x + solve_m(gate.residual)
         gate.add(b - spmv(A, x))
         products += 1
         n += 1
     return gate.report(status, x, started, products)
+
+
+def _forward_substitution(A: SparseMatrix, diag):
+    """r -> (D + L)^{-1} r, L the strictly lower part of A, row by row over a
+    row-major mirror of L built once per solve (CSC gives no row access)."""
+    lower = A.row_idx > A.entry_col  # masked canonical arrays stay canonical
+    L_T = _from_canonical(A.nrows, A.ncols, A.row_idx[lower], A.entry_col[lower], A.values[lower]).transpose()
+    ptr, idx, vals = L_T.col_ptr.tolist(), L_T.row_idx, L_T.values
+
+    def solve(r):
+        z = np.empty_like(r)
+        for j in range(z.size):  # row j reads z[<j], solved earlier in the pass
+            lo, hi = ptr[j], ptr[j + 1]
+            z[j] = (r[j] - vals[lo:hi] @ z[idx[lo:hi]]) / diag[j]
+        return z
+
+    return solve
+
+
+def jacobi_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
+    """Jacobi sweeps x_{n+1} = x_n + D^{-1} (b - A x_n); see _stationary."""
+    return _stationary(A, b, x0, cfg, lambda A, diag: lambda r: r / diag)
+
+
+def gauss_seidel_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> SolveReport:
+    """Gauss-Seidel sweeps x_{n+1} = x_n + (D + L)^{-1} (b - A x_n), L the
+    strictly lower part of A, the only entries a sweep reads; see _stationary."""
+    return _stationary(A, b, x0, cfg, _forward_substitution)
 
 
 # ---------------------------------------------------------------------------

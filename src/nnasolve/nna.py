@@ -479,9 +479,11 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
     G(x_n) = x_n + (x_n + t) g1.  With window w > 0 (general_solve),
     Anderson mixing (Walker & Ni 2011, SIAM J. Numer. Anal. 49:1715; for EM,
     Henderson & Varadhan 2019, J. Comput. Graph. Stat. 28:834) over the last
-    w differences dG of plain steps and dF of f_n = (G(x_n) - x_n) s (B times
-    the step in x_tilde) proposes G(x_n) - dG^T gamma, gamma = argmin
-    ||f_n - dF^T gamma||, scaled back onto s^T (x + t) = B.  The safeguard
+    w differences dG of plain steps and dF of f_n = (G(x_n) - x_n) s / 2^e
+    (the step in x_tilde in units of 2^e / B, 2^e the power of two in
+    (B, 2B]: exact, and dF dF^T stays finite at any B) proposes
+    G(x_n) - dG^T gamma, gamma = argmin ||f_n - dF^T gamma||, scaled back
+    onto s^T (x + t) = B.  The safeguard
     (Grippo, Lampariello & Lucidi 1986, SIAM J. Numer. Anal. 23:707) takes
     it when x + t > 0 and its divergence is at most the largest of the last
     _GLL_MEMORY accepted ones; else the plain step, which never raises the
@@ -504,6 +506,7 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
     # rescale's typed checks and B; none of its vectors
     s, b_total = A.col_sums, rescale(A, b_t).b_total
     b_sum = float(b.sum())
+    s_unit = s * math.ldexp(1.0, -math.frexp(b_total)[1])
 
     def original(r):
         return r if tie is None else r[: tie.nrows] - spmv(tie, r[tie.nrows :])
@@ -564,7 +567,7 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
         if window:
             # G(c x_tilde) = G(x_tilde): iterate 0 enters scaled onto the simplex
             f = step if n else step + (x + t) * (1.0 - b_total / (s @ (x + t)))
-            f *= s
+            f *= s_unit
             if n:
                 slot = stored % window
                 np.subtract(plain, g_last, out=dg[slot])
@@ -578,7 +581,7 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
                     # s^T (x + t) = B in exact arithmetic; the defect, from s^T x, holds no t
                     sx = s @ mixed
                     mixed *= b_total / (b_total - b_sum + sx)
-                    mixed += t * (b_sum - sx) / (b_total - b_sum + sx)
+                    mixed += t * ((b_sum - sx) / (b_total - b_sum + sx))
                     r_mixed, den_mixed = residual(mixed)
                     kl_mixed = _divergence(b_t, r_mixed) / b_total
                     if kl_mixed <= max(kl_trace[-_GLL_MEMORY:]):
@@ -648,7 +651,7 @@ def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
         try:
             report = _run_loop(A, b_arr, t, row_sums, x_start, cfg.max_iter, eps, tie, window, started)
         except (NonFiniteValue, ZeroColumn, ZeroDenominator) as exc:
-            return _breakdown(exc, A.ncols, started)
+            return replace(_breakdown(exc, A.ncols, started), matvec_count=matvecs, attempts=attempt + 1)
         matvecs += report.matvec_count
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
             best = report

@@ -74,6 +74,16 @@ def test_jacobi_divergence_is_not_converged():
     assert report.status in (SolveStatus.MAX_ITERATIONS, SolveStatus.BREAKDOWN)
 
 
+def test_jacobi_converges_on_the_residual_of_its_iterate():
+    # Jacobi traced b - (A - D) x - D x, which read 0.0 at iteration 20 and
+    # ended converged while ||b - A x|| = 1.11e-16 > eps
+    A = sparse_of([[0.67, 0.02], [0.95, 1.39]])
+    b = np.array([0.6, -0.65])
+    report = jacobi_solve(A, b, cfg=SolverConfig(eps_tol=1e-16, max_iter=200))
+    assert report.status is SolveStatus.MAX_ITERATIONS
+    assert report.residual_trace[-1] == _norm(b - spmv(A, report.x)) > 1e-16
+
+
 def test_gauss_seidel_identity_and_dominant():
     report = gauss_seidel_solve(identity(2), [1.0, -1.0], cfg=CFG)
     assert report.status is SolveStatus.CONVERGED and report.iterations == 1
@@ -602,10 +612,9 @@ def _ends_on_the_recomputed_residual(solver, dense, b, k, cfg):
     true = _norm(b - spmv(A, report.x))  # np.linalg.norm loses digits below 1e-154
     last = report.residual_trace[-1]
     assert report.residual_trace.size == report.iterations + 1
-    if solver in ("general", "jacobi"):
+    if solver == "general":
         # general_solve maps the residual of the embedded iterate through the
-        # tie block, and Jacobi sums b - (A - D) x - D x; both are the residual
-        # of the returned x up to rounding
+        # tie block: the residual of the returned x up to rounding
         scale = np.abs(dense).sum() * (np.abs(report.x).max() + 1.0) + np.abs(b).sum()
         assert last == pytest.approx(true, rel=1e-9, abs=1e-12 * scale)
     else:
@@ -822,7 +831,7 @@ _START_PRODUCTS = {
     "gmres": (lambda A, b, x0, cfg: gmres_restarted(A, b, x0=x0, k=3, cfg=cfg), 1),
     "minres": (lambda A, b, x0, cfg: minres_solve(A, b, x0=x0, k=3, cfg=cfg), 1),
     "cg": (cg_solve, 1),
-    # Jacobi's first sweep takes A_off x0, Gauss-Seidel's first traced residual A x0
+    # both start from r = b - A x0, one product at a nonzero x0
     "jacobi": (jacobi_solve, 1),
     "gauss-seidel": (gauss_seidel_solve, 1),
     # the residual s = b - A x0; A^T s then takes the place of A^T b

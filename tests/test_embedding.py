@@ -316,6 +316,19 @@ def test_general_solve_on_c06_at_a_large_shift(t):
     assert _norm(inst.b - spmv(inst.A, report.x)) <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e0, 1e100, 1e200, 1e300])
+def test_general_solve_counts_do_not_depend_on_the_scale_of_b(scale):
+    # dF dF^T, with f measured in units of B, overflowed from scale 1e160 on
+    # (LinAlgError in the mixing solve), and t (b_sum - sx) from 1e170; in a
+    # power-of-two unit the mixing weights are those of every other scale
+    dense = np.array([[1.0, 0.9], [0.9, 1.0]])
+    b = dense @ np.array([3.0, -3.0]) * scale
+    report = general_solve(sparse_of(dense), b)
+    assert report.status is SolveStatus.CONVERGED
+    # at scale 1 rounding differs, as it did before
+    assert report.matvec_count == (1_661 if scale == 1e0 else 1_655)
+
+
 def test_general_solve_reaches_c04_minimal_divergence():
     # c04's 20 inconsistent 3 x 2 systems; their minimizers sit on the edge of
     # the simplex, where most mixed points have an entry <= 0 and the

@@ -1041,6 +1041,20 @@ def _counting_kernels(monkeypatch):
     return calls
 
 
+def test_a_breakdown_after_auto_shift_retries_counts_their_products(monkeypatch):
+    # x* = (3e307, -3e307): four doubled shifts stagnate, and the fifth makes
+    # b + t A1 sum to infinity; the report counts the four attempts' products
+    # and the five shifts tried, where it read 0 and 0
+    calls = _counting_kernels(monkeypatch)
+    A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
+    b = np.array([[1.0, 0.9], [0.9, 1.0]]) @ np.array([3e307, -3e307])
+    report = nna_solve(A, b)
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic == "NonFiniteValue: b sums to infinity; its rescaled entries would vanish"
+    assert len(calls) == report.matvec_count == 22_914
+    assert report.attempts == 5
+
+
 def test_loop_products_go_through_traced_kernel_names(monkeypatch):
     calls = _counting_kernels(monkeypatch)
     inst = gen_dense_uniform(10, 0)
