@@ -1,10 +1,10 @@
 """Classical iterative solvers used as comparison baselines.
 
 Jacobi and Gauss-Seidel sweeps, conjugate gradients for SPD systems,
-restarted GMRES(k) with modified Gram-Schmidt Arnoldi, MINRES(k) via the
-Lanczos three-term recurrence, conjugate gradients on the normal equations,
-and the diagonal-dominance classifier that decides which of them carry a
-convergence guarantee.
+restarted GMRES(k) with modified Gram-Schmidt Arnoldi, MINRES(k) with
+Lanczos (the same loop against two vectors), conjugate gradients on the
+normal equations, and the diagonal-dominance classifier that decides which
+of them carry a convergence guarantee.
 """
 
 from __future__ import annotations
@@ -213,8 +213,9 @@ def normal_equation_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None 
 _INVARIANT_REL = 1e-12
 
 
-def _build_basis(A, r0, k, target, orthogonalize):
-    """Basis loop both builders share; orthogonalize(w, vs, H, j) fills H[:j+1, j].
+def _build_basis(A, r0, k, target, depth):
+    """The loop both builders share: modified Gram-Schmidt of A v_j against
+    the last depth basis vectors, row j of one (k + 1) x n array holding v_j.
 
     Given a target, u traces the left null vector of H[:j+2, :j+1] (u_0 = 1),
     so the least-squares residual min ||beta e1 - H y|| is beta / ||u||.  A
@@ -222,38 +223,25 @@ def _build_basis(A, r0, k, target, orthogonalize):
     """
     r0 = np.asarray(r0, dtype=np.float64)
     beta = _norm(r0)
-    vs = [r0 / beta]
+    basis = np.empty((k + 1, r0.size))
+    np.divide(r0, beta, out=basis[0])
     H = np.zeros((k + 1, k))
     u = np.zeros(k + 1)
     u[0] = 1.0
     for j in range(k):
-        w = spmv(A, vs[j])
-        orthogonalize(w, vs, H, j)
+        w = spmv(A, basis[j])
+        for i in range(max(0, j + 1 - depth), j + 1):
+            H[i, j] = float(w @ basis[i])
+            w -= H[i, j] * basis[i]
         H[j + 1, j] = _norm(w)
         if H[j + 1, j] <= _INVARIANT_REL * _norm(H[: j + 2, j]):
-            return np.column_stack(vs), H[: j + 2, : j + 1]
-        vs.append(w / H[j + 1, j])
+            return basis[: j + 1].T, H[: j + 2, : j + 1]
+        np.divide(w, H[j + 1, j], out=basis[j + 1])
         if target is not None:
             u[j + 1] = -float(H[: j + 1, j] @ u[: j + 1]) / H[j + 1, j]
             if beta <= target * _norm(u[: j + 2]):
-                return np.column_stack(vs), H[: j + 2, : j + 1]
-    return np.column_stack(vs), H
-
-
-def _gram_schmidt(w, vs, H, j):
-    """Modified Gram-Schmidt against every basis vector so far."""
-    for i in range(j + 1):
-        H[i, j] = float(w @ vs[i])
-        w -= H[i, j] * vs[i]
-
-
-def _three_term(w, vs, H, j):
-    """The Lanczos recurrence: against the last two basis vectors only."""
-    if j:
-        H[j - 1, j] = H[j, j - 1]
-        w -= H[j - 1, j] * vs[j - 1]
-    H[j, j] = float(w @ vs[j])
-    w -= H[j, j] * vs[j]
+                return basis[: j + 2].T, H[: j + 2, : j + 1]
+    return basis.T, H
 
 
 def arnoldi_process(
@@ -268,18 +256,20 @@ def arnoldi_process(
     at the first step whose least-squares residual min ||beta e1 - H y||,
     read off the left null vector of H as beta / ||u||, is at most target.
     """
-    return _build_basis(A, r0, k, target, _gram_schmidt)
+    return _build_basis(A, r0, k, target, k)
 
 
 def lanczos_process(
     A: SparseMatrix, r0, k: int, target: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run k steps of the Lanczos three-term recurrence from r0.
+    """Run k steps of Lanczos from r0: Arnoldi against v_(j-1) and v_j only,
+    enough for symmetric A (Saad 2003, Iterative Methods, sec. 6.6).
 
-    Same contract, invariance stop and target as arnoldi_process; H is
-    tridiagonal.
+    Same contract, invariance stop and target as arnoldi_process.  H is 0
+    above its first superdiagonal; H[j-1, j] = (A v_j) . v_(j-1) equals
+    H[j, j-1] in exact arithmetic, so H is symmetric up to rounding.
     """
-    return _build_basis(A, r0, k, target, _three_term)
+    return _build_basis(A, r0, k, target, 2)
 
 
 def _restarted_minimum_residual(A, b, x0, k, cfg, process, symmetric=False) -> SolveReport:
@@ -356,9 +346,8 @@ def gmres_restarted(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig 
 def minres_solve(A: SparseMatrix, b, x0=None, k: int = 20, cfg: SolverConfig | None = None) -> SolveReport:
     """Restarted minimum-residual solve for symmetric A via Lanczos.
 
-    Same outer logic as GMRES(k) with the Arnoldi loop replaced by the
-    three-term recurrence, so each cycle costs k (2 nnz + 9 m) flops plus a
-    small least-squares solve.
+    Same outer logic as GMRES(k) with Arnoldi replaced by Lanczos, so each
+    cycle costs k (2 nnz + 11 m) flops plus a small least-squares solve.
     """
     return _restarted_minimum_residual(A, b, x0, k, cfg, lanczos_process, symmetric=True)
 

@@ -3,7 +3,7 @@
 Exit codes: 0 all requested solvers converged or ended stagnated_min_kl (a
 certified minimal-KL point of a system with no solution; the note line gives
 the certificate), 1 solver non-convergence, 2 input/parse error, 3 internal
-error.
+error, such as an untyped exception out of a solver.
 
 Trace CSVs are written with the elapsed_ns column zeroed so identical runs
 produce byte-identical files; wall time appears in the summary instead.
@@ -68,6 +68,10 @@ _RESTARTED = "/".join(name for name, entry in SOLVERS.items() if entry.needs_k)
 _OK_STATUSES = (SolveStatus.CONVERGED, SolveStatus.STAGNATED_MIN_KL)
 
 
+class _SolverFault(Exception):
+    """Holds as __cause__ an untyped exception out of a solver, a ValueError too."""
+
+
 def _parse_gen_spec(spec: str, seed: int):
     """Parse 'dense-uniform:m=10' or 'sparse-random:m=1000,offdiag=5000,diag-hi=100'."""
     name, _, rest = spec.partition(":")
@@ -123,8 +127,7 @@ def _summary_values(report, t_format: str) -> tuple[float, str, str]:
 
 def cmd_solve(args) -> int:
     if (args.matrix is None) == (args.gen is None):
-        print("error: exactly one of --matrix or --gen is required", file=sys.stderr)
-        return 2
+        raise ValueError("exactly one of --matrix or --gen is required")
 
     if args.matrix is not None:
         A = read_matrix_market(args.matrix)
@@ -137,30 +140,34 @@ def cmd_solve(args) -> int:
     if args.rhs is not None:
         b = _make_rhs(args.rhs, A, args.seed)
     if b is None:
-        print("error: --rhs is required with --matrix", file=sys.stderr)
-        return 2
+        raise ValueError("--rhs is required with --matrix")
 
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
     unknown = [s for s in solvers if s not in SOLVERS]
     if not solvers or unknown:
-        print(f"error: unknown solver(s): {', '.join(unknown) or '(none given)'}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown solver(s): {', '.join(unknown) or '(none given)'}")
     if args.k is None and any(SOLVERS[s].needs_k for s in solvers):
-        print(f"error: --k is required when {_RESTARTED} is selected", file=sys.stderr)
-        return 2
+        raise ValueError(f"--k is required when {_RESTARTED} is selected")
 
     cfg = SolverConfig(eps_tol=args.tol, max_iter=args.max_iter)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every input, each --t value included, is checked before the first solve
     t_values = args.t if args.t else [None]
+    cfgs = {t: replace(cfg, t_shift=t) for t in [None, *t_values]}
     runs = []
     for solver in solvers:
         entry = SOLVERS[solver]
         restart = {"k": args.k} if entry.needs_k else {}
         for t in t_values if entry.takes_t else [None]:
-            report = entry.solve(A, b, cfg=replace(cfg, t_shift=t), **restart)
+            try:
+                report = entry.solve(A, b, cfg=cfgs[t], **restart)
+            except NnaSolveError:
+                raise
+            except Exception as exc:
+                raise _SolverFault from exc
             label = solver if t is None else f"{solver}_t{t:g}"
             write_trace(replace(report, elapsed_ns=0), out_dir / f"{label}.csv")
             runs.append((label, report))
@@ -279,7 +286,8 @@ def main(argv=None) -> int:
     except (NnaSolveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        exc = exc.__cause__ if isinstance(exc, _SolverFault) else exc
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

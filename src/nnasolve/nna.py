@@ -346,7 +346,7 @@ def shift(A: SparseMatrix, b, t: float | None = None) -> ShiftedSystem:
         stuck = np.flatnonzero((row_sums <= 0.0) & (b <= 0.0))
         if stuck.size:
             raise UnshiftableRow(int(stuck[0]))
-        col_min = float(A.col_sums.min()) if A.ncols else 0.0
+        col_min = float(A.col_sums.min())
         if col_min <= 0.0:
             raise ZeroColumn(int(np.flatnonzero(A.col_sums == 0.0)[0]))
         eps_b = max(1.0, float(np.abs(b).max())) * 1e-3
@@ -499,7 +499,9 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
     n >= 1; gap <= _CERTIFICATE_TOL * D(x_n) gives D* > 0 (no solution), and
     the run stops as stagnated_min_kl.  On a consistent system D <= gap, so
     the rule cannot fire once gap is floored at its rounding from r's,
-    2^-52 max_i (|b_i| + |(A x)_i|) / (A (x + t))_i.
+    2^-52 max_i (|b_i| + |(A x)_i|) / (A (x + t))_i.  An A (x + t) that
+    fails the typed checks ends the run at its iterate as BREAKDOWN, the
+    check's "Type: message" its diagnostic.
     """
     t_rows = t * row_sums
     b_t = b + t_rows
@@ -531,6 +533,7 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
     r, den = residual(x)
     kl = None  # the divergence of the iterate, where its test computed it
     rejections = n = 0
+    diagnostic = None
     while True:
         gate.values.append(_norm(original(r)))  # exact: the gate keeps no vector
         if kl is None:
@@ -539,10 +542,13 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
             if not math.isfinite(kl):
                 # as b_t > 0, any zero, negative or non-finite A (x + t) makes
                 # the divergence non-finite; the typed checks name the defect
-                _ratio(b_t, den)
-                kl = metrics.kl_divergence(b_t, den) / b_total
+                try:
+                    _ratio(b_t, den)
+                    kl = metrics.kl_divergence(b_t, den) / b_total
+                except (NonFiniteValue, ZeroDenominator) as exc:
+                    diagnostic = f"{type(exc).__name__}: {exc}"
         kl_trace.append(kl)
-        status = gate.status(x, n, max_iter)
+        status = SolveStatus.BREAKDOWN if diagnostic else gate.status(x, n, max_iter)
         if status is not None:
             break
         g1 = spmv_transpose(A, r / den)
@@ -554,6 +560,7 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
             gap = max(gap, 2.0**-52 * float(((np.abs(b) + np.abs(b - r)) / den).max()))
             if gap <= _CERTIFICATE_TOL * kl:
                 status = SolveStatus.STAGNATED_MIN_KL
+                diagnostic = f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}"
                 break
         low = g1 < -0.5 if g1.min() < -0.5 else None
         step = np.multiply(x + t, g1, out=g1)
@@ -595,8 +602,6 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
         else:
             x = mixed
 
-    stagnated = status is SolveStatus.STAGNATED_MIN_KL
-    diagnostic = f"certificate at iterate {n}: D = {kl:.6e}, gap = max g - 1 = {gap:.3e}" if stagnated else None
     return gate.report(
         status, x, started, made, kl_trace=np.frombuffer(kl_trace), diagnostic=diagnostic, t_shift=t, rejections=rejections
     )
@@ -618,10 +623,10 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     matvec_count sums the products of every attempt.  Explicit t runs, and
     unshifted runs (b > 0 and x0 > 0), are never retried.  The shapes and
     values of A, b and x0 are checked first, and their defects raise.  Setup
-    defects found after that (zero column, unshiftable row, zero row with
-    positive b, an automatic shift that cannot stay finite) and values that
-    overflow during the run come back as a BREAKDOWN report carrying a
-    diagnostic instead of an exception.
+    defects found after that (zero column, unshiftable row, an automatic
+    shift that cannot stay finite) come back as a BREAKDOWN report with a
+    diagnostic and x all NaN instead of an exception; an iterate whose A x
+    has a zero (a zero row with positive b) or overflows ends as one too.
     """
     return _solve(A, b, x0, cfg, None, 0)
 
@@ -650,7 +655,7 @@ def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
     while True:
         try:
             report = _run_loop(A, b_arr, t, row_sums, x_start, cfg.max_iter, eps, tie, window, started)
-        except (NonFiniteValue, ZeroColumn, ZeroDenominator) as exc:
+        except (NonFiniteValue, ZeroColumn) as exc:  # rescale's, before any product
             return replace(_breakdown(exc, A.ncols, started), matvec_count=matvecs, attempts=attempt + 1)
         matvecs += report.matvec_count
         if best is None or report.residual_trace[-1] < best.residual_trace[-1]:

@@ -111,12 +111,9 @@ class SparseMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Dense vector of diagonal entries (zeros where unstored)."""
-        n = min(self.nrows, self.ncols)
-        d = np.zeros(n)
+        d = np.zeros(min(self.nrows, self.ncols))
         on_diag = self.row_idx == self.entry_col
-        hits = self.row_idx[on_diag]
-        keep = hits < n
-        d[hits[keep]] = self.values[on_diag][keep]
+        d[self.row_idx[on_diag]] = self.values[on_diag]
         return d
 
     def transpose(self) -> "SparseMatrix":

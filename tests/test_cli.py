@@ -397,6 +397,18 @@ def test_negative_generator_count_is_input_error(tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_an_untyped_solver_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # numpy.linalg.LinAlgError is a ValueError, yet one out of a solver is no
+    # input defect: every input is checked before the first solve
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    argv = ["solve", "--gen", "dense-uniform:m=10", "--solver", "gmres", "--k", "20", "--out", str(tmp_path)]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "internal error: LinAlgError: SVD did not converge in Linear Least Squares\n"
+
+
 @pytest.mark.parametrize("t", ["nan", "inf"])
 def test_nonfinite_shift_is_input_error(tmp_path, capsys, t):
     code = run(["solve", "--gen", "dense-uniform:m=3", "--solver", "nna", "--t", t, "--out", str(tmp_path)])

@@ -344,6 +344,8 @@ def test_solve_breakdown_reports():
     report = nna_solve(empty_row, [1.0, 1.0])
     assert report.status is SolveStatus.BREAKDOWN
     assert "ZeroDenominator" in report.diagnostic
+    # found at iterate 0, after its product A x0, which the report counts
+    assert report.matvec_count == 1 and report.residual_trace.tolist() == [math.sqrt(2.0)]
 
 
 def test_breakdown_report_is_sized_by_columns():
@@ -1102,13 +1104,18 @@ def test_no_product_past_the_stop(monkeypatch, case, expected):
 
 def test_a_breakdown_makes_no_product_past_the_bad_iterate(monkeypatch):
     # M x0 overflows at iterate 0 (test_solve_nonfinite_mid_iteration_is_breakdown's
-    # system), and the run raises its typed breakdown there: that one product
-    # is the only kernel call
+    # system), and the run ends as a typed breakdown there: that one product
+    # is the only kernel call, and the report counts it (it read 0)
     calls = _counting_kernels(monkeypatch)
     A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)])
-    report = nna_solve(A, [1.0, 1.0], x0=np.full(2, 1e308))
-    assert report.status is SolveStatus.BREAKDOWN
-    assert len(calls) == 1
+    for solve in (nna_solve, general_solve):
+        calls.clear()
+        report = solve(A, [1.0, 1.0], x0=np.full(2, 1e308))
+        assert report.status is SolveStatus.BREAKDOWN
+        assert report.diagnostic == "NonFiniteValue: divergence inputs must be finite"
+        assert len(calls) == report.matvec_count == 1, solve.__name__
+        # one entry per iterate in both traces
+        assert report.residual_trace.size == report.kl_trace.size == report.iterations + 1 == 1
 
 
 def _recording_gates(monkeypatch):
