@@ -120,7 +120,9 @@ class SolveReport:
     Every solver's report is built by one method (_ResidualGate.report): the
     last residual_trace entry is the residual of the returned x (for
     general_solve, mapped through the tie block), iterations is the trace
-    length minus one, and matvec_count counts every product with the
+    length minus one (0 for the empty trace of nna_solve's and
+    general_solve's setup defects, whose x is all NaN), every BREAKDOWN
+    carries a diagnostic, and matvec_count counts every product with the
     iteration matrix (P for an embedded system), each recomputation
     included, summed over every auto-shift attempt.  Not counted are
     general_solve's products with the tie block (A's negative entries only,
@@ -241,7 +243,7 @@ class _ResidualGate:
     of 0 would confirm no later entry above 0.
     On a confirmed entry, not finite is BREAKDOWN, within eps CONVERGED,
     then max_iter MAX_ITERATIONS.  report() confirms a carried last entry
-    too, so every report ends on the residual of the returned x.
+    too, so every report with a trace ends on the residual of the returned x.
     """
 
     def __init__(self, eps: float, recompute=None, first=None):
@@ -291,11 +293,17 @@ class _ResidualGate:
     def report(self, status, x, started, products, **fields) -> SolveReport:
         """The report of a run that ends with status at x; started is its
         perf_counter_ns at entry and products the products it made besides
-        the gate's recomputations.  fields fill the other report fields."""
+        the gate's recomputations.  fields fill the other report fields.
+        A defect found before iterate 0 leaves the trace empty and the
+        iterations 0.  A BREAKDOWN that arrives without a diagnostic is the
+        gate's own, on a non-finite last entry, and the diagnostic names it."""
         self.confirm(x)
+        n = max(len(self.values) - 1, 0)
+        if status is SolveStatus.BREAKDOWN and not fields.get("diagnostic"):
+            fields["diagnostic"] = f"iterate {n}: ||b - A x|| = {self.values[-1]:.3e} is not finite"
         return SolveReport(
             status=status,
-            iterations=len(self.values) - 1,
+            iterations=n,
             x=x,
             residual_trace=np.frombuffer(self.values),
             elapsed_ns=time.perf_counter_ns() - started,
@@ -427,17 +435,6 @@ def nna_step_counted(system: NonnegativeSystem, x_n: np.ndarray) -> tuple[np.nda
     return np.array(x_next), flops
 
 
-def _breakdown(exc: Exception, ncols: int, started: int) -> SolveReport:
-    return SolveReport(
-        status=SolveStatus.BREAKDOWN,
-        iterations=0,
-        x=np.full(ncols, np.nan),
-        residual_trace=np.empty(0),
-        elapsed_ns=time.perf_counter_ns() - started,
-        diagnostic=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def _divergence(w: np.ndarray, r: np.ndarray) -> float:
     """D(w, w - r) = sum w (delta - log1p delta) with delta = -r / w."""
     delta = np.divide(r, w)
@@ -537,8 +534,9 @@ def _run_loop(A, b, t, row_sums, x_start, max_iter, eps, tie, window, started):
     while True:
         gate.values.append(_norm(original(r)))  # exact: the gate keeps no vector
         if kl is None:
-            # iterate 0's at the start scaled onto the simplex
-            kl = _divergence(b_t, r if n else b_t - den * (b_total / den.sum())) / b_total
+            # iterate 0's at the start scaled onto the simplex; B = 0 only
+            # for a 0 x 0 system, whose divergence is the empty sum 0
+            kl = _divergence(b_t, r if n else b_t - den * (b_total / den.sum())) / (b_total or 1.0)
             if not math.isfinite(kl):
                 # as b_t > 0, any zero, negative or non-finite A (x + t) makes
                 # the divergence non-finite; the typed checks name the defect
@@ -625,8 +623,10 @@ def nna_solve(A: SparseMatrix, b, x0=None, cfg: SolverConfig | None = None) -> S
     values of A, b and x0 are checked first, and their defects raise.  Setup
     defects found after that (zero column, unshiftable row, an automatic
     shift that cannot stay finite) come back as a BREAKDOWN report with a
-    diagnostic and x all NaN instead of an exception; an iterate whose A x
-    has a zero (a zero row with positive b) or overflows ends as one too.
+    diagnostic, x all NaN, an empty trace and 0 iterations instead of an
+    exception; an iterate whose A x has a zero (a zero row with positive b)
+    or overflows ends as one too, as does one whose ||b - A x|| is not
+    finite.  A 0 x 0 system converges at iterate 0, after its one product.
     """
     return _solve(A, b, x0, cfg, None, 0)
 
@@ -636,38 +636,35 @@ def _solve(A, b, x0, cfg, tie, window) -> SolveReport:
     plain update), residuals mapped through the tie block when not None."""
     started = time.perf_counter_ns()
     b_arr, x_start, cfg, eps = _setup(A, b, x0, cfg, np.ones, square=False)
+    best, matvecs, attempts = None, 0, 0
     try:
         shifted = shift(A, b_arr, cfg.t_shift)
-    except (NonFiniteValue, ZeroColumn, UnshiftableRow) as exc:
-        return _breakdown(exc, A.ncols, started)
-    auto = cfg.t_shift is None
-    t, row_sums, shifted = shifted.t, shifted.a_row_sums, None  # the loop forms b + t A1
-    low = float(x_start.min(initial=math.inf))
-    if low + t <= 0.0:
-        if not auto:
-            # general_solve starts each slack at -x0_j, so only a larger t helps there
-            raise NegativeInput(f"x0 + t*1 must be positive: raise t above {-low:g}")
-        # twice the start's deficit; a zero entry at t = 0 has none, and any
-        # t > 0 clears it; retries double from there
-        t = -2.0 * low if low < 0.0 else 1.0
-
-    best, matvecs, attempt = None, 0, 0
-    while True:
-        try:
+        auto = cfg.t_shift is None
+        t, row_sums, shifted = shifted.t, shifted.a_row_sums, None  # the loop forms b + t A1
+        low = float(x_start.min(initial=math.inf))
+        if low + t <= 0.0:
+            if not auto:
+                # general_solve starts each slack at -x0_j, so only a larger t helps there
+                raise NegativeInput(f"x0 + t*1 must be positive: raise t above {-low:g}")
+            # twice the start's deficit; a zero entry at t = 0 has none, and any
+            # t > 0 clears it; retries double from there
+            t = -2.0 * low if low < 0.0 else 1.0
+        while True:
+            attempts += 1
             report = _run_loop(A, b_arr, t, row_sums, x_start, cfg.max_iter, eps, tie, window, started)
-        except (NonFiniteValue, ZeroColumn) as exc:  # rescale's, before any product
-            return replace(_breakdown(exc, A.ncols, started), matvec_count=matvecs, attempts=attempt + 1)
-        matvecs += report.matvec_count
-        if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
-            best = report
-        stagnated = report.status is SolveStatus.STAGNATED_MIN_KL
-        if not (auto and t > 0.0 and stagnated and attempt < _MAX_AUTO_RETRIES):
-            break
-        attempt += 1
-        t *= 2.0
-    return replace(
-        best, elapsed_ns=time.perf_counter_ns() - started, matvec_count=matvecs, attempts=attempt + 1
-    )
+            matvecs += report.matvec_count
+            if best is None or report.residual_trace[-1] < best.residual_trace[-1]:
+                best = report
+            stagnated = report.status is SolveStatus.STAGNATED_MIN_KL
+            if not (auto and t > 0.0 and stagnated and attempts <= _MAX_AUTO_RETRIES):
+                break
+            t *= 2.0
+    except (NonFiniteValue, ZeroColumn, UnshiftableRow) as exc:  # shift's, or rescale's before any product
+        nan = np.full(A.ncols, np.nan)
+        return _ResidualGate(eps).report(
+            SolveStatus.BREAKDOWN, nan, started, matvecs, diagnostic=f"{type(exc).__name__}: {exc}", attempts=attempts
+        )
+    return replace(best, elapsed_ns=time.perf_counter_ns() - started, matvec_count=matvecs, attempts=attempts)
 
 
 def rate_certificate(A: SparseMatrix, x_star) -> RateCertificate:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nnasolve
@@ -335,6 +335,20 @@ def test_nonfinite_values_are_breakdown(solve, A, b, diagnostic):
     assert report.diagnostic.startswith(diagnostic)
 
 
+@pytest.mark.parametrize(
+    "solve, iterations, last", [(jacobi_solve, 646, "inf"), (gauss_seidel_solve, 324, "nan")], ids=["jacobi", "gauss-seidel"]
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_sweep_names_the_residual_it_ends_on(solve, iterations, last):
+    # [[1, 3], [3, 1]] is not diagonally dominant: each sweep grows x until
+    # ||b - A x|| leaves the floating-point range, where the gate ends the run
+    # and names what it read (the report carried no diagnostic)
+    report = solve(sparse_of([[1.0, 3.0], [3.0, 1.0]]), [1.0, 1.0])
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.iterations == report.matvec_count == iterations
+    assert report.diagnostic == f"iterate {iterations}: ||b - A x|| = {last} is not finite"
+
+
 @pytest.mark.parametrize("solve", [gmres_restarted, minres_solve], ids=["gmres", "minres"])
 def test_huge_entries_with_representable_products_converge(solve):
     # A v0 = (sqrt(2) 1e308, 0) is representable, and so is the solution (1e-308, 0)
@@ -644,6 +658,49 @@ def _ends_on_the_recomputed_residual(solver, dense, b, k, cfg):
     products = sum(ncols == iterated for ncols, _ in calls)
     assert products == report.matvec_count
     return report
+
+
+# b near 1e308 * U(-1, 1)^m overflows ||b|| or ||b||_1 in 4 of 5 uniform draws:
+# a setup defect for the NNA solvers (no finite shift, or b sums to infinity),
+# a non-finite first residual for the rest
+_OVERFLOWING_B = dict(m=30, seed=0, exponent=308.0, k=2, max_iter=50)
+
+
+def _overflowing_run(solver, m, seed, exponent, k, max_iter):
+    rng = np.random.default_rng(seed)
+    A = sparse_of(_EVERY_SOLVER[solver][1](rng, m))
+    b = rng.uniform(-1.0, 1.0, m) * 10.0**exponent
+    return _EVERY_SOLVER[solver][0](A, b, k, SolverConfig(max_iter=max_iter))
+
+
+@pytest.mark.parametrize("solver", sorted(_EVERY_SOLVER))
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(307.5, 308.0),
+    k=st.integers(1, 6),
+    max_iter=st.integers(0, 50),
+)
+@example(**_OVERFLOWING_B)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_breakdown_carries_a_diagnostic(solver, m, seed, exponent, k, max_iter):
+    report = _overflowing_run(solver, m, seed, exponent, k, max_iter)
+    if report.status is SolveStatus.BREAKDOWN:
+        assert report.diagnostic
+
+
+@pytest.mark.parametrize("solver", sorted(_EVERY_SOLVER))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_overflowing_example_breaks_down_every_solver(solver):
+    # the pinned example of test_every_breakdown_carries_a_diagnostic: ||b||
+    # and ||b||_1 overflow, so each solver ends as breakdown before its first step
+    report = _overflowing_run(solver, **_OVERFLOWING_B)
+    assert report.status is SolveStatus.BREAKDOWN and report.iterations == 0
+    if solver in ("nna", "general"):
+        assert report.diagnostic.startswith("NonFiniteValue: the automatic shift cannot grow")
+    else:
+        assert report.diagnostic == "iterate 0: ||b - A x|| = inf is not finite"
 
 
 def test_cgls_below_its_attainable_accuracy_ends_on_the_recomputed_residual():

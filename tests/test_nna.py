@@ -348,15 +348,6 @@ def test_solve_breakdown_reports():
     assert report.matvec_count == 1 and report.residual_trace.tolist() == [math.sqrt(2.0)]
 
 
-def test_breakdown_report_is_sized_by_columns():
-    # 3 x 2 with column 1 zero: x has one entry per column, not per row
-    A = from_triplets(3, 2, [(0, 0, 1.0), (1, 0, 2.0), (2, 0, 1.0)])
-    report = nna_solve(A, [1.0, 2.0, 1.0])
-    assert report.status is SolveStatus.BREAKDOWN
-    assert report.x.shape == (2,)
-    assert np.all(np.isnan(report.x))
-
-
 def test_solve_nonfinite_mid_iteration_is_breakdown():
     # x0 * col_scale overflows to inf in the first iterate; the loop must
     # report that as a typed breakdown, not raise out of nna_solve
@@ -1055,6 +1046,54 @@ def test_a_breakdown_after_auto_shift_retries_counts_their_products(monkeypatch)
     assert report.diagnostic == "NonFiniteValue: b sums to infinity; its rescaled entries would vanish"
     assert len(calls) == report.matvec_count == 22_914
     assert report.attempts == 5
+
+
+_SETUP_DEFECTS = {
+    # shift finds no t that clears row 1 (empty, b_1 < 0): no attempt is made
+    "unshiftable-row": (from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0)]), [1.0, -1.0], "UnshiftableRow", 0),
+    # b > 0 needs no shift, and the first attempt's rescale finds column 1 of
+    # this 3 x 2 matrix empty
+    "zero-column": (from_triplets(3, 2, [(0, 0, 1.0), (1, 0, 2.0), (2, 0, 1.0)]), [1.0, 2.0, 1.0], "ZeroColumn", 1),
+}
+
+
+@pytest.mark.parametrize("A, b, defect, attempts", _SETUP_DEFECTS.values(), ids=_SETUP_DEFECTS.keys())
+def test_a_setup_defect_report_has_an_empty_trace(A, b, defect, attempts):
+    # found before iterate 0: no product, no trace entry, iterations 0, and
+    # one NaN per column of A, not per row
+    for solve in (nna_solve, general_solve):
+        report = solve(A, b)
+        assert report.status is SolveStatus.BREAKDOWN and report.diagnostic.startswith(defect + ": ")
+        assert report.x.shape == (2,) and np.all(np.isnan(report.x))
+        assert report.residual_trace.size == report.kl_trace.size == report.iterations == 0
+        assert (report.matvec_count, report.attempts, report.t_shift, report.rejections) == (0, attempts, None, 0)
+
+
+def test_a_start_whose_residual_overflows_names_it(monkeypatch):
+    # A (x0 + t) is finite, so the typed checks pass, but ||b - A x0||
+    # overflows: the gate ends the run at iterate 0, after its one product,
+    # and the report names the residual it read (it read None)
+    calls = _counting_kernels(monkeypatch)
+    A = sparse_of([[1.0, 0.9], [0.9, 1.0]])
+    b = np.array([[1.0, 0.9], [0.9, 1.0]]) @ np.array([3e307, -3e307])
+    report = nna_solve(A, b, x0=[7e307, 7e307])
+    assert report.status is SolveStatus.BREAKDOWN
+    assert report.diagnostic == "iterate 0: ||b - A x|| = inf is not finite"
+    assert report.residual_trace.tolist() == [math.inf]
+    assert len(calls) == report.matvec_count == 1 and report.attempts == 1
+
+
+def test_a_zero_by_zero_system_converges_at_iterate_0(monkeypatch):
+    # B = 0 scaled iterate 0's divergence into a ZeroDivisionError; the empty
+    # residual is within any eps, as for the baselines, after the start's product
+    calls = _counting_kernels(monkeypatch)
+    for solve in (nna_solve, general_solve):
+        calls.clear()
+        report = solve(from_arrays(0, 0, [], [], []), [])
+        assert report.status is SolveStatus.CONVERGED and report.iterations == 0
+        assert report.residual_trace.tolist() == report.kl_trace.tolist() == [0.0]
+        assert len(calls) == report.matvec_count == 1, solve.__name__
+        assert report.x.shape == (0,)
 
 
 def test_loop_products_go_through_traced_kernel_names(monkeypatch):
